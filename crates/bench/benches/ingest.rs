@@ -79,38 +79,12 @@ fn bench_join(c: &mut Criterion) {
     group.finish();
 }
 
-/// v2 (JSON payloads) vs v3 (binary columnar payloads) on the shard
-/// hot path: the same ensemble saved under both formats, timed through
-/// the identical `load_all` read path. The only variable is the
-/// per-record decode.
-fn bench_payload_format(c: &mut Criterion) {
-    use thicket_perfsim::{ManifestVersion, Store, StoreOptions};
-
-    let mut group = c.benchmark_group("payload_format");
-    group.sample_size(10);
-    for &n in &[560u64, 2000] {
-        let profiles = data::quartz_runs(n, 1_048_576);
-        for (name, version) in [("v2", ManifestVersion::V2), ("v3", ManifestVersion::V3)] {
-            let dir = std::env::temp_dir().join(format!("thicket-bench-fmt-{name}-{n}"));
-            let _ = std::fs::remove_dir_all(&dir);
-            let opts = StoreOptions {
-                format: version,
-                ..StoreOptions::default()
-            };
-            Store::save_opts(&dir, &profiles, &opts).unwrap();
-            group.bench_with_input(BenchmarkId::new(name, n), &dir, |b, dir| {
-                b.iter(|| Store::open(dir).unwrap().load_all().unwrap());
-            });
-        }
-    }
-    group.finish();
-}
-
 /// Sharded-store read path vs the JSON ensemble directory: full loads
 /// at equal profile counts, plus the metadata-pushdown read that skips
 /// whole shards (the predicate selects 10 of n profiles).
 fn bench_store(c: &mut Criterion) {
-    use thicket_perfsim::{load_dir, save_ensemble, MetaPred, Store, Strictness};
+    use thicket_dataframe::PredExpr;
+    use thicket_perfsim::{load_dir, save_ensemble, Store, Strictness};
 
     let mut group = c.benchmark_group("store");
     group.sample_size(10);
@@ -133,7 +107,7 @@ fn bench_store(c: &mut Criterion) {
             b.iter(|| {
                 Store::open(dir)
                     .unwrap()
-                    .load_matching(&MetaPred::lt("seed", 10i64))
+                    .load_matching(&PredExpr::lt("seed", 10i64), 1)
                     .unwrap()
             });
         });
@@ -167,33 +141,24 @@ fn bench_store(c: &mut Criterion) {
         });
     }
 
-    // Pushdown at 2,000 profiles: selection cost and bytes actually
-    // read, v2 columnar manifest vs the v1 row manifest.
+    // Pushdown at 2,000 profiles: columnar selection plus the range
+    // reads of the 10 selected records.
     {
         let profiles = data::quartz_runs(2000, 1_048_576);
-        for (label, format) in [
-            ("pushdown_2000_v2", thicket_perfsim::ManifestVersion::V2),
-            ("pushdown_2000_v1", thicket_perfsim::ManifestVersion::V1),
-        ] {
-            let dir = std::env::temp_dir().join(format!("thicket-bench-{label}"));
-            let _ = std::fs::remove_dir_all(&dir);
-            let opts = thicket_perfsim::StoreOptions {
-                format,
-                ..thicket_perfsim::StoreOptions::default()
-            };
-            Store::save_opts(&dir, &profiles, &opts).unwrap();
-            group.bench_with_input(BenchmarkId::new(label, 2000), &dir, |b, dir| {
-                b.iter(|| {
-                    Store::open(dir)
-                        .unwrap()
-                        .load_matching(&MetaPred::lt("seed", 10i64))
-                        .unwrap()
-                });
+        let dir = std::env::temp_dir().join("thicket-bench-pushdown_2000");
+        let _ = std::fs::remove_dir_all(&dir);
+        Store::save(&dir, &profiles).unwrap();
+        group.bench_with_input(BenchmarkId::new("pushdown_2000", 2000), &dir, |b, dir| {
+            b.iter(|| {
+                Store::open(dir)
+                    .unwrap()
+                    .load_matching(&PredExpr::lt("seed", 10i64), 1)
+                    .unwrap()
             });
-        }
+        });
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_ingest, bench_join, bench_payload_format, bench_store);
+criterion_group!(benches, bench_ingest, bench_join, bench_store);
 criterion_main!(benches);

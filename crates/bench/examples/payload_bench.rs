@@ -9,12 +9,10 @@
 //!
 //! Workloads (one change per experiment):
 //!
-//! * **W1 — store load, v2 vs v3**: the same 2,000-profile RAJAPerf
-//!   ensemble saved under v2 (JSON payloads) and v3 (binary columnar
-//!   payloads), timed through the identical `load_all` path. The only
-//!   variable is the per-record decode.
-//! * **W2 — pushdown read**: same stores, `seed < 10` predicate (10 of
-//!   2,000 kept), plus the `bytes_read` accounting for each.
+//! * **W1 — store load**: a 2,000-profile RAJAPerf ensemble in a v3
+//!   store (binary columnar payloads), timed through `load_all`.
+//! * **W2 — pushdown read**: same store, `seed < 10` predicate (10 of
+//!   2,000 kept), plus its `bytes_read` accounting.
 //! * **W3 — threaded ingest**: thicket assembly from 560 in-memory
 //!   profiles at 1/2/4/8 worker threads (the multicore scaling curve;
 //!   on a single-core host this measures the fan-out overhead floor).
@@ -31,7 +29,7 @@
 use std::time::Instant;
 use thicket_core::{LoadSource, Thicket};
 use thicket_dataframe::{ColKey, PredExpr, Value};
-use thicket_perfsim::{ManifestVersion, MetaPred, Store, StoreOptions};
+use thicket_perfsim::Store;
 
 const RUNS: usize = 5;
 
@@ -70,7 +68,7 @@ fn main() {
     let profiles = thicket_bench::data::quartz_runs(n, 1_048_576);
 
     if !w4_only {
-        store_format_workloads(&profiles, n);
+        store_load_workloads(&profiles, n);
         threaded_ingest_workload(&profiles, n, nproc);
     }
     predicate_engine_workload(&profiles, n);
@@ -80,70 +78,43 @@ fn main() {
     eprintln!("done");
 }
 
-/// W1 + W2: v2 vs v3 full load and metadata pushdown.
-fn store_format_workloads(profiles: &[thicket_perfsim::Profile], n: u64) {
-    println!("## Store payload format: v2 (JSON) vs v3 (binary), {n} profiles\n");
-    let mut dirs = Vec::new();
-    let mut store_bytes = Vec::new();
-    for (name, version) in [("v2", ManifestVersion::V2), ("v3", ManifestVersion::V3)] {
-        let dir = std::env::temp_dir().join(format!("thicket-payloadbench-{name}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        let opts = StoreOptions {
-            format: version,
-            ..StoreOptions::default()
-        };
-        let t = Instant::now();
-        Store::save_opts(&dir, profiles, &opts).unwrap();
-        let save_ms = t.elapsed().as_secs_f64() * 1e3;
-        let bytes: u64 = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().metadata().unwrap().len())
-            .sum();
-        println!("- {name}: save {save_ms:.0} ms, {:.1} MiB on disk", bytes as f64 / (1 << 20) as f64);
-        dirs.push((name, dir));
-        store_bytes.push(bytes);
-    }
-    println!();
-    println!("| workload | v2 median | v3 median | speedup |");
-    println!("|---|---|---|---|");
+/// W1 + W2: v3 full load and metadata pushdown.
+fn store_load_workloads(profiles: &[thicket_perfsim::Profile], n: u64) {
+    println!("## Store load (v3), {n} profiles\n");
+    let dir = std::env::temp_dir().join("thicket-payloadbench-v3");
+    let _ = std::fs::remove_dir_all(&dir);
+    let t = Instant::now();
+    Store::save(&dir, profiles).unwrap();
+    let save_ms = t.elapsed().as_secs_f64() * 1e3;
+    let store_bytes: u64 = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().metadata().unwrap().len())
+        .sum();
+    println!(
+        "- save {save_ms:.0} ms, {:.1} MiB on disk\n",
+        store_bytes as f64 / (1 << 20) as f64
+    );
 
-    let mut full = Vec::new();
-    let mut push = Vec::new();
-    let mut push_bytes = Vec::new();
-    for (_, dir) in &dirs {
-        full.push(median_ms(|| {
-            let (p, rep) = Store::open(dir).unwrap().load_all().unwrap();
-            assert!(rep.is_clean());
-            assert_eq!(p.len() as u64, n);
-        }));
-        let reader = Store::open(dir).unwrap();
-        let (kept, _) = reader.load_matching(&MetaPred::lt("seed", 10i64)).unwrap();
-        assert_eq!(kept.len(), 10);
-        push_bytes.push(reader.bytes_read());
-        push.push(median_ms(|| {
-            let (p, _) = Store::open(dir).unwrap().load_matching(&MetaPred::lt("seed", 10i64)).unwrap();
-            assert_eq!(p.len(), 10);
-        }));
-    }
-    println!(
-        "| full load ({n} profiles) | {:.0} ms | {:.0} ms | {:.2}x |",
-        full[0], full[1], full[0] / full[1]
-    );
-    println!(
-        "| pushdown load (10 of {n}) | {:.1} ms | {:.1} ms | {:.2}x |",
-        push[0], push[1], push[0] / push[1]
-    );
-    println!(
-        "\npushdown bytes_read: v2 {} / v3 {}; store size: v2 {:.1} MiB / v3 {:.1} MiB ({:.2}x)\n",
-        push_bytes[0],
-        push_bytes[1],
-        store_bytes[0] as f64 / (1 << 20) as f64,
-        store_bytes[1] as f64 / (1 << 20) as f64,
-        store_bytes[0] as f64 / store_bytes[1] as f64,
-    );
-    for (_, dir) in &dirs {
-        std::fs::remove_dir_all(dir).ok();
-    }
+    let pred = PredExpr::lt("seed", 10i64);
+    let full = median_ms(|| {
+        let (p, rep) = Store::open(&dir).unwrap().load_all().unwrap();
+        assert!(rep.is_clean());
+        assert_eq!(p.len() as u64, n);
+    });
+    let reader = Store::open(&dir).unwrap();
+    let (kept, _) = reader.load_matching(&pred, 1).unwrap();
+    assert_eq!(kept.len(), 10);
+    let push_bytes = reader.bytes_read();
+    let push = median_ms(|| {
+        let (p, _) = Store::open(&dir).unwrap().load_matching(&pred, 1).unwrap();
+        assert_eq!(p.len(), 10);
+    });
+    println!("| workload | median |");
+    println!("|---|---|");
+    println!("| full load ({n} profiles) | {full:.0} ms |");
+    println!("| pushdown load (10 of {n}) | {push:.1} ms |");
+    println!("\npushdown bytes_read: {push_bytes}\n");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// W3: thicket assembly at 1/2/4/8 worker threads.
@@ -185,15 +156,7 @@ fn predicate_engine_workload(profiles: &[thicket_perfsim::Profile], n: u64) {
     println!("## W4: predicate engine, {n}-profile store (selection reps = {reps})\n");
     let dir = std::env::temp_dir().join("thicket-payloadbench-w4");
     let _ = std::fs::remove_dir_all(&dir);
-    Store::save_opts(
-        &dir,
-        profiles,
-        &StoreOptions {
-            format: ManifestVersion::V3,
-            ..StoreOptions::default()
-        },
-    )
-    .unwrap();
+    Store::save(&dir, profiles).unwrap();
 
     // --- metadata-only selection: row walk over materialized entries
     // vs vectorized evaluation straight off the columnar manifest.
@@ -292,7 +255,7 @@ fn predicate_engine_workload(profiles: &[thicket_perfsim::Profile], n: u64) {
     let full_bytes = full_reader.bytes_read();
     let push_reader = Store::open(&dir).unwrap();
     push_reader
-        .load_matching_expr(&PredExpr::lt("seed", meta_cut), 1)
+        .load_matching(&PredExpr::lt("seed", meta_cut), 1)
         .unwrap();
     let push_bytes = push_reader.bytes_read();
 
@@ -321,15 +284,7 @@ fn pinning_workload(profiles: &[thicket_perfsim::Profile], n: u64) {
     println!("## W5: snapshot pinning, {n}-profile v3 store (pinned vs unpinned)\n");
     let dir = std::env::temp_dir().join("thicket-payloadbench-w5");
     let _ = std::fs::remove_dir_all(&dir);
-    Store::save_opts(
-        &dir,
-        profiles,
-        &StoreOptions {
-            format: ManifestVersion::V3,
-            ..StoreOptions::default()
-        },
-    )
-    .unwrap();
+    Store::save(&dir, profiles).unwrap();
 
     let expr = PredExpr::lt("seed", meta_cut);
     let expect = meta_cut.min(n as i64) as usize;
@@ -344,16 +299,13 @@ fn pinning_workload(profiles: &[thicket_perfsim::Profile], n: u64) {
         assert_eq!(p.len() as u64, n);
     });
     let push_plain = median_ms(|| {
-        let (p, _) = Store::open(&dir)
-            .unwrap()
-            .load_matching_expr(&expr, 1)
-            .unwrap();
+        let (p, _) = Store::open(&dir).unwrap().load_matching(&expr, 1).unwrap();
         assert_eq!(p.len(), expect);
     });
     let push_pinned = median_ms(|| {
         let (p, _) = Store::open_pinned(&dir)
             .unwrap()
-            .load_matching_expr(&expr, 1)
+            .load_matching(&expr, 1)
             .unwrap();
         assert_eq!(p.len(), expect);
     });

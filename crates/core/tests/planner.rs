@@ -5,7 +5,7 @@
 
 use thicket_core::{LoadSource, PredExpr, Thicket};
 use thicket_dataframe::ColKey;
-use thicket_perfsim::{simulate_cpu_run, Compiler, CpuRunConfig, MetaPred, Profile, Store};
+use thicket_perfsim::{simulate_cpu_run, Compiler, CpuRunConfig, Profile, Store};
 
 /// Six profiles: 2 compilers × 3 seeds, one problem size.
 fn sample_profiles() -> Vec<Profile> {
@@ -33,18 +33,17 @@ fn metadata_only_expr_fully_pushes_on_store() {
     let profiles = sample_profiles();
     let dir = temp_store("push", &profiles);
 
+    // Pushed below the store read, the filter composes the same
+    // thicket as the in-memory path over the same profiles.
     let expr = PredExpr::eq("compiler", "clang-9.0.0");
     let (by_expr, report) = Thicket::loader(LoadSource::store(&dir))
-        .filter(expr)
+        .filter(expr.clone())
         .load()
         .unwrap();
-    let (by_pred, _) = Thicket::loader(LoadSource::store(&dir))
-        .filter(MetaPred::eq("compiler", "clang-9.0.0"))
-        .load()
-        .unwrap();
+    let (in_memory, _) = Thicket::loader(&profiles).filter(expr).load().unwrap();
 
-    assert_eq!(by_expr.metadata(), by_pred.metadata());
-    assert_eq!(by_expr.perf_data(), by_pred.perf_data());
+    assert_eq!(by_expr.metadata(), in_memory.metadata());
+    assert_eq!(by_expr.perf_data(), in_memory.perf_data());
     assert_eq!(by_expr.profiles().len(), 3);
 
     let plan = report.pushdown.expect("expr loads record a plan");
@@ -139,12 +138,14 @@ fn profile_source_expr_matches_metapred_filter() {
         .filter(PredExpr::eq("compiler", "xlc-16.1.1.12"))
         .load()
         .unwrap();
-    let (by_pred, _) = Thicket::loader(&profiles)
-        .filter(MetaPred::eq("compiler", "xlc-16.1.1.12"))
-        .load()
-        .unwrap();
-    assert_eq!(by_expr.metadata(), by_pred.metadata());
-    assert_eq!(by_expr.perf_data(), by_pred.perf_data());
+    let xlc: Vec<Profile> = profiles
+        .iter()
+        .filter(|p| p.metadata("compiler").and_then(|v| v.as_str()) == Some("xlc-16.1.1.12"))
+        .cloned()
+        .collect();
+    let (prefiltered, _) = Thicket::loader(&xlc).load().unwrap();
+    assert_eq!(by_expr.metadata(), prefiltered.metadata());
+    assert_eq!(by_expr.perf_data(), prefiltered.perf_data());
     assert!(report.pushdown.unwrap().fully_pushed());
 }
 
@@ -187,21 +188,4 @@ fn owned_source_matches_borrowed_source() {
     let via_from: LoadSource<'static> = profiles.into();
     let (tk, _) = Thicket::loader(via_from).load().unwrap();
     assert_eq!(tk.profiles().len(), 6);
-}
-
-/// The deprecated `filter_expr` spelling stays a thin alias of
-/// `filter` for one release; both produce identical thickets and plans.
-#[test]
-#[allow(deprecated)]
-fn deprecated_filter_expr_aliases_filter() {
-    let profiles = sample_profiles();
-    let expr = PredExpr::eq("compiler", "clang-9.0.0");
-    let (via_alias, ra) = Thicket::loader(&profiles)
-        .filter_expr(expr.clone())
-        .load()
-        .unwrap();
-    let (via_filter, rf) = Thicket::loader(&profiles).filter(expr).load().unwrap();
-    assert_eq!(via_alias.perf_data(), via_filter.perf_data());
-    assert_eq!(via_alias.metadata(), via_filter.metadata());
-    assert_eq!(format!("{:?}", ra.pushdown), format!("{:?}", rf.pushdown));
 }

@@ -34,7 +34,6 @@ pub mod ingest;
 pub mod json;
 pub mod machine;
 pub mod marbl;
-pub mod metapred;
 pub mod noise;
 pub mod parallel;
 pub mod profile;
@@ -57,7 +56,6 @@ pub use parallel::{
 pub use machine::{Compiler, CpuSpec, GpuSpec, NetworkSpec};
 pub use marbl::{marbl_ensemble, simulate_marbl_run, MarblCluster, MarblConfig};
 pub use noise::Noise;
-pub use metapred::{CmpOp, MetaPred};
 pub use profile::{Profile, ProfileError};
 pub use backoff::Backoff;
 pub use store::{

@@ -27,8 +27,8 @@ pub struct ShardInfo {
 }
 
 /// One profile as the manifest indexes it: identity, byte range, and
-/// the scalar metadata fields a [`StoreReader::load_entries_where`]
-/// predicate can filter on without touching the shard.
+/// (once materialized by [`StoreReader::entries`](super::StoreReader::entries))
+/// its scalar metadata fields.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreEntry {
     /// Deterministic profile identity ([`Profile::profile_hash`]).
@@ -41,11 +41,11 @@ pub struct StoreEntry {
     pub len: u32,
     /// CRC32C of the payload.
     pub crc: u32,
-    /// Scalar metadata fields, **sorted by key** (since v2; v1
-    /// manifests are re-sorted at parse time) so lookups are a binary
-    /// search instead of a per-call linear scan. Empty in a v2
-    /// manifest's raw entries — [`StoreReader::entries`] materializes
-    /// it from the columnar index on demand.
+    /// Scalar metadata fields, **sorted by key** so lookups are a
+    /// binary search instead of a per-call linear scan. Empty in a
+    /// parsed manifest's raw entries (metadata lives in
+    /// [`Manifest::columns`]) — [`StoreReader::entries`](super::StoreReader::entries)
+    /// materializes it from the columnar index on demand.
     pub meta: Vec<(String, Value)>,
 }
 
@@ -59,7 +59,7 @@ impl StoreEntry {
     }
 }
 
-/// One key's column in the v2 manifest's metadata index: a presence
+/// One key's column in the manifest's metadata index: a presence
 /// mask plus the key's values for the profiles that carry it, held as
 /// unparsed JSON text until first use. Selection against a predicate
 /// decodes only the blocks whose keys the predicate names.
@@ -174,7 +174,7 @@ pub(crate) fn build_columns(rows: &[Vec<(String, Value)>]) -> Vec<MetaBlock> {
 }
 
 /// A profile's scalar metadata as a key-sorted row (the order
-/// [`StoreEntry::meta`]'s binary search requires).
+/// [`build_columns`] and [`StoreEntry::meta`]'s binary search require).
 pub(crate) fn sorted_meta(p: &Profile) -> Vec<(String, Value)> {
     let mut meta: Vec<(String, Value)> = p
         .metadata_iter()
@@ -229,21 +229,21 @@ pub(crate) fn mask_from_hex(hex: &str, n: usize) -> Result<Vec<bool>, String> {
 pub struct Manifest {
     /// Generation number.
     pub generation: u64,
-    /// Which on-disk format the body used (auto-detected at parse).
+    /// Which on-disk format the body used (auto-detected at parse; a
+    /// written manifest is always [`ManifestVersion::V3`]).
     pub version: ManifestVersion,
     /// Shard descriptors, index-addressed by [`StoreEntry::shard`].
     pub shards: Vec<ShardInfo>,
-    /// Per-profile index, in storage order. Under
-    /// [`ManifestVersion::V2`] the entries carry no metadata (it lives
-    /// in [`Manifest::columns`]).
+    /// Per-profile index, in storage order. Entries carry no metadata:
+    /// it lives in [`Manifest::columns`].
     pub profiles: Vec<StoreEntry>,
-    /// v2 columnar metadata index, one block per key, key-sorted.
-    /// Empty for v1.
+    /// Columnar metadata index, one block per key, key-sorted (built at
+    /// parse time for a v1 body).
     pub columns: Vec<MetaBlock>,
 }
 
 impl Manifest {
-    /// The column indexing `key`, if any profile carries it (v2 only).
+    /// The column indexing `key`, if any profile carries it.
     pub fn column(&self, key: &str) -> Option<&MetaBlock> {
         self.columns
             .binary_search_by(|b| b.key.as_str().cmp(key))
@@ -251,16 +251,28 @@ impl Manifest {
             .map(|i| &self.columns[i])
     }
 
-    /// Every profile's key-sorted metadata row: borrowed from the
-    /// entries (v1) or decoded out of every column (v2). Strict — a
-    /// column that fails to decode fails the whole call.
+    /// Every profile's key-sorted metadata row, decoded out of every
+    /// column. Strict — a column that fails to decode fails the whole
+    /// call.
     pub(crate) fn meta_rows(&self) -> Result<Vec<Vec<(String, Value)>>, String> {
-        if !self.version.columnar() {
-            return Ok(self.profiles.iter().map(|e| e.meta.clone()).collect());
-        }
+        self.rows(true)
+    }
+
+    /// [`Manifest::meta_rows`], but undecodable columns are skipped
+    /// instead of failing (for best-effort entry materialization; fsck
+    /// reports the damage).
+    pub(crate) fn meta_rows_lossy(&self) -> Vec<Vec<(String, Value)>> {
+        self.rows(false).expect("lossy decode never fails")
+    }
+
+    fn rows(&self, strict: bool) -> Result<Vec<Vec<(String, Value)>>, String> {
         let mut rows = vec![Vec::new(); self.profiles.len()];
         for b in &self.columns {
-            let vals = b.values()?;
+            let vals = match b.values() {
+                Ok(vals) => vals,
+                Err(e) if strict => return Err(e),
+                Err(_) => continue,
+            };
             for (i, row) in rows.iter_mut().enumerate() {
                 if b.present_at(i) {
                     row.push((b.key.clone(), vals[i].clone()));
@@ -271,26 +283,9 @@ impl Manifest {
         Ok(rows)
     }
 
-    /// [`Manifest::meta_rows`], but undecodable columns are skipped
-    /// instead of failing (for best-effort entry materialization; fsck
-    /// reports the damage).
-    pub(crate) fn meta_rows_lossy(&self) -> Vec<Vec<(String, Value)>> {
-        if !self.version.columnar() {
-            return self.profiles.iter().map(|e| e.meta.clone()).collect();
-        }
-        let mut rows = vec![Vec::new(); self.profiles.len()];
-        for b in &self.columns {
-            if let Ok(vals) = b.values() {
-                for (i, row) in rows.iter_mut().enumerate() {
-                    if b.present_at(i) {
-                        row.push((b.key.clone(), vals[i].clone()));
-                    }
-                }
-            }
-        }
-        rows
-    }
-
+    /// Serialize as a v3 manifest file (magic, body CRC, JSON body) —
+    /// the only format the store writes, whatever [`Manifest::version`]
+    /// says it was read from.
     pub(crate) fn to_file_bytes(&self) -> Vec<u8> {
         let shards = Json::Arr(
             self.shards
@@ -309,7 +304,7 @@ impl Manifest {
             self.profiles
                 .iter()
                 .map(|p| {
-                    let mut fields = vec![
+                    Json::Obj(vec![
                         // Full-range i64: goes through a decimal string
                         // so it survives the JSON f64 round trip.
                         ("hash".into(), Json::Str(p.hash.to_string())),
@@ -317,60 +312,33 @@ impl Manifest {
                         ("offset".into(), Json::Num(p.offset as f64)),
                         ("len".into(), Json::Num(p.len as f64)),
                         ("crc".into(), Json::Num(p.crc as f64)),
-                    ];
-                    if self.version == ManifestVersion::V1 {
-                        fields.push((
-                            "meta".into(),
-                            Json::Obj(
-                                p.meta
-                                    .iter()
-                                    .map(|(k, v)| (k.clone(), value_to_json(v)))
-                                    .collect(),
-                            ),
-                        ));
-                    }
-                    Json::Obj(fields)
+                    ])
                 })
                 .collect(),
         );
-        let mut body_fields = vec![
-            (
-                "format".into(),
-                Json::Str(
-                    match self.version {
-                        ManifestVersion::V1 => MANIFEST_FORMAT,
-                        ManifestVersion::V2 => MANIFEST_FORMAT_V2,
-                        ManifestVersion::V3 => MANIFEST_FORMAT_V3,
-                    }
-                    .into(),
-                ),
-            ),
+        // Each column's values ship as a JSON *string* holding the
+        // compact array text: a reader that never references the key
+        // scans past one string token instead of parsing every value.
+        let columns = Json::Arr(
+            self.columns
+                .iter()
+                .map(|b| {
+                    Json::Obj(vec![
+                        ("key".into(), Json::Str(b.key.clone())),
+                        ("mask".into(), Json::Str(mask_to_hex(&b.present))),
+                        ("values".into(), Json::Str(b.raw.clone())),
+                    ])
+                })
+                .collect(),
+        );
+        let body = Json::Obj(vec![
+            ("format".into(), Json::Str(MANIFEST_FORMAT_V3.into())),
             ("generation".into(), Json::Num(self.generation as f64)),
             ("shards".into(), shards),
             ("profiles".into(), profiles),
-        ];
-        if self.version.columnar() {
-            // Each column's values ship as a JSON *string* holding the
-            // compact array text: a reader that never references the
-            // key scans past one string token instead of parsing every
-            // value.
-            body_fields.push((
-                "columns".into(),
-                Json::Arr(
-                    self.columns
-                        .iter()
-                        .map(|b| {
-                            Json::Obj(vec![
-                                ("key".into(), Json::Str(b.key.clone())),
-                                ("mask".into(), Json::Str(mask_to_hex(&b.present))),
-                                ("values".into(), Json::Str(b.raw.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-        }
-        let body = Json::Obj(body_fields).to_string_compact();
+            ("columns".into(), columns),
+        ])
+        .to_string_compact();
         let mut out = Vec::with_capacity(body.len() + 13);
         out.extend_from_slice(MANIFEST_MAGIC);
         out.extend_from_slice(format!("{:08x}", crc32c(body.as_bytes())).as_bytes());
@@ -380,7 +348,10 @@ impl Manifest {
     }
 
     /// Parse and self-verify a manifest file's bytes, auto-detecting
-    /// the format version.
+    /// the format version. v2 and v3 bodies carry the columnar index
+    /// directly; a v1 body (the one legacy layout) carries a metadata
+    /// object per entry, which is folded into the same columnar index
+    /// here, so nothing downstream branches on the version.
     pub(crate) fn from_file_bytes(bytes: &[u8]) -> Result<Manifest, String> {
         if bytes.len() < 13 || &bytes[..4] != MANIFEST_MAGIC {
             return Err("bad manifest magic".into());
@@ -429,25 +400,13 @@ impl Manifest {
             .ok_or("missing profiles")?
             .iter()
             .map(|p| {
-                let mut meta: Vec<(String, Value)> = if version.columnar() {
-                    Vec::new()
-                } else {
-                    p.get("meta")?
-                        .as_obj()?
-                        .iter()
-                        .map(|(k, v)| (k.clone(), json_to_value(v)))
-                        .collect()
-                };
-                // v1 rows were written in profile insertion order;
-                // StoreEntry::meta binary-searches, so sort on entry.
-                meta.sort_by(|a, b| a.0.cmp(&b.0));
                 Some(StoreEntry {
                     hash: p.get("hash")?.as_str()?.parse::<i64>().ok()?,
                     shard: p.get("shard")?.as_i64().filter(|&v| v >= 0)? as usize,
                     offset: p.get("offset")?.as_i64().filter(|&v| v >= 0)? as u64,
                     len: p.get("len")?.as_i64().filter(|&v| v >= 0)? as u32,
                     crc: p.get("crc")?.as_i64().filter(|&v| v >= 0)? as u32,
-                    meta,
+                    meta: Vec::new(),
                 })
             })
             .collect::<Option<Vec<_>>>()
@@ -475,8 +434,8 @@ impl Manifest {
                 ));
             }
         }
-        let mut columns = if !version.columnar() {
-            Vec::new()
+        let mut columns = if version == ManifestVersion::V1 {
+            legacy_v1_columns(&doc)?
         } else {
             doc
                 .get("columns")
@@ -503,4 +462,28 @@ impl Manifest {
             columns,
         })
     }
+}
+
+/// The legacy v1 decoder: gather each entry's metadata object into a
+/// key-sorted row and build the columnar index from the rows.
+fn legacy_v1_columns(doc: &Json) -> Result<Vec<MetaBlock>, String> {
+    let rows = doc
+        .get("profiles")
+        .and_then(Json::as_arr)
+        .ok_or("missing profiles")?
+        .iter()
+        .map(|p| {
+            let mut row: Vec<(String, Value)> = p
+                .get("meta")?
+                .as_obj()?
+                .iter()
+                .map(|(k, v)| (k.clone(), json_to_value(v)))
+                .collect();
+            // v1 rows were written in profile insertion order.
+            row.sort_by(|a, b| a.0.cmp(&b.0));
+            Some(row)
+        })
+        .collect::<Option<Vec<_>>>()
+        .ok_or("malformed profile entry")?;
+    Ok(build_columns(&rows))
 }

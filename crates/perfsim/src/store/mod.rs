@@ -4,25 +4,30 @@
 //! Profiles are packed into fixed-size **shards**, each record framed as
 //! `[u32 len][u32 crc32c(payload)][payload]`, and committed under a
 //! generation-numbered **manifest** (`MANIFEST-<gen>`, written via
-//! temp-file + rename). The v2 manifest carries per-shard digests, the
+//! temp-file + rename). The manifest carries per-shard digests, the
 //! per-profile byte ranges, and a **columnar metadata index** — one
 //! [`MetaBlock`] per key (presence mask + lazily-parsed values) — so
-//! [`StoreReader::select`] over a typed [`MetaPred`](crate::metapred::MetaPred) decodes only the
-//! keys the predicate names and [`StoreReader::load_matching`] skips
-//! whole shards the predicate excludes without even opening them.
-//! Readers auto-detect v1 (row-metadata) manifests; [`Store::append`]
-//! commits new profiles as a new generation that reuses existing
-//! shards, and [`Store::compact`] re-packs fragmented or salvaged
-//! shards (doubling as the v1/v2 → v3 migrator).
+//! [`StoreReader::select_expr`] over a [`PredExpr`](thicket_dataframe::PredExpr)
+//! decodes only the keys the predicate names and
+//! [`StoreReader::load_matching`] skips whole shards the predicate
+//! excludes without even opening them. [`Store::append`] commits new
+//! profiles as a new generation that reuses existing shards, and
+//! [`Store::compact`] re-packs fragmented or salvaged shards.
 //!
-//! The v3 format keeps the v2 manifest body but switches record
-//! payloads from JSON documents to the `TKP3` binary profile encoding
-//! ([`crate::binprofile`]): name-table-interned strings plus columnar
+//! ## Formats
+//!
+//! Every write produces format v3: the columnar manifest body plus
+//! record payloads in the `TKP3` binary profile encoding
+//! ([`crate::binprofile`]) — name-table-interned strings and columnar
 //! metric arrays, decoded by a bounds-checked cursor instead of a parse
-//! tree. Payload encoding is detected per record (binary payloads lead
-//! with the `TKP3` magic, JSON with `{`), so shards written by
-//! different format generations — e.g. a v3 append reusing v2 shards —
-//! stay readable record by record.
+//! tree. The two older formats stay **readable only**: v2 (same
+//! manifest body, JSON record payloads) and v1 (per-entry metadata
+//! rows, JSON payloads). The manifest parser turns a v1 body into the
+//! columnar index at load time, so selection has one code path for all
+//! three; payload encoding is detected per record (binary payloads lead
+//! with the `TKP3` magic, JSON with `{`), so a v3 append on top of an
+//! old store reads record by record. [`Store::compact`] rewrites any
+//! store as v3 and is the one migrator.
 //!
 //! ## Commit protocol
 //!
@@ -124,16 +129,18 @@ pub const MANIFEST_FORMAT_V3: &str = "thicket-store-3";
 /// placement, and the salvage walk can never drift apart.
 pub const RECORD_HEADER_BYTES: usize = size_of::<u32>() + size_of::<u32>();
 
-/// Which on-disk manifest format a writer emits. Readers auto-detect
-/// the version from the body's format tag; [`Store::compact`] migrates
-/// older stores to the newest format.
+/// Which on-disk manifest format a generation was read from —
+/// detected from the body's format tag. Writers always emit
+/// [`ManifestVersion::V3`]; the older versions are read only, and
+/// [`Store::compact`] migrates them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ManifestVersion {
-    /// Row-oriented metadata: every [`StoreEntry`] carries its full
-    /// `Vec<(String, Value)>`.
+    /// Row-oriented metadata (every entry carried its own metadata
+    /// object) and JSON record payloads. Parsed into the columnar
+    /// index on read.
     V1,
     /// Columnar metadata index: one [`MetaBlock`] per key (presence
-    /// mask + lazily-parsed value block), entries carry no metadata.
+    /// mask + lazily-parsed value block), JSON record payloads.
     V2,
     /// v2 manifest body, but record payloads use the binary `TKP3`
     /// profile encoding ([`crate::binprofile`]) instead of JSON.
@@ -141,12 +148,6 @@ pub enum ManifestVersion {
     V3,
 }
 
-impl ManifestVersion {
-    /// Does this version index metadata columnarly (v2 and later)?
-    pub fn columnar(self) -> bool {
-        !matches!(self, ManifestVersion::V1)
-    }
-}
 // ---------------------------------------------------------------------
 // Errors, options, reports.
 // ---------------------------------------------------------------------
@@ -255,9 +256,6 @@ pub struct StoreOptions {
     /// of points a write passes is reported in
     /// [`WriteReport::crash_points`].
     pub crash_after: Option<usize>,
-    /// Manifest format to write (v3 by default; v1 and v2 are kept
-    /// writable so migration can be exercised end to end).
-    pub format: ManifestVersion,
     /// Duplicate-hash policy for [`Store::append`].
     pub append_mode: AppendMode,
     /// Compare-and-swap: with `Some(g)`, [`Store::append`] commits only
@@ -286,7 +284,6 @@ impl Default for StoreOptions {
             shard_bytes: 256 * 1024,
             keep_generations: 1,
             crash_after: None,
-            format: ManifestVersion::V3,
             append_mode: AppendMode::Skip,
             expected_generation: None,
             lock_timeout: Duration::from_secs(30),
@@ -488,7 +485,7 @@ impl Store {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
         // Stage (encode) outside the lock; only I/O runs inside it.
-        let staged = writer::stage(profiles, opts.format);
+        let staged = writer::stage(profiles);
         let refs: Vec<&writer::Staged> = staged.iter().collect();
         let lock = lock::CommitLock::acquire(dir, opts)?;
         lock.seal(writer::save_locked(dir, &refs, opts))
@@ -527,7 +524,7 @@ impl Store {
     ) -> Result<WriteReport, StoreError> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
-        let staged = writer::stage(profiles, opts.format);
+        let staged = writer::stage(profiles);
         let lock = lock::CommitLock::acquire(dir, opts)?;
         lock.seal(writer::append_locked(dir, &staged, opts))
     }
@@ -539,12 +536,12 @@ impl Store {
 
     /// Rewrite the newest verified generation into freshly-packed full
     /// shards ([`StoreOptions::shard_bytes`]) — the answer to
-    /// fragmentation from repeated appends or salvages. Record payloads
-    /// already in the target format's encoding are carried over
-    /// byte-for-byte (CRC-verified, never reparsed); payloads in the
-    /// *other* encoding (JSON under a v3 target, binary under v1/v2)
-    /// are transcoded, which is what makes `compact` the format
-    /// migrator. Corrupt records are dropped with typed diagnostics
+    /// fragmentation from repeated appends or salvages. Binary `TKP3`
+    /// record payloads are carried over byte-for-byte (CRC-verified,
+    /// never reparsed); JSON payloads from v1/v2 generations are
+    /// transcoded, and the new manifest is always v3 — which is what
+    /// makes `compact` the format migrator. Corrupt records are
+    /// dropped with typed diagnostics
     /// like [`Store::recover`] salvage. The rewrite runs under the same
     /// stage-then-rename protocol with the same enumerable crash
     /// points, so an interruption leaves the previous generation
@@ -552,9 +549,6 @@ impl Store {
     /// read phase included — so the generation being rewritten cannot
     /// be superseded or collected mid-rewrite.
     ///
-    /// Because the output manifest defaults to
-    /// [`ManifestVersion::V3`], `compact` doubles as the v1/v2 → v3
-    /// migrator (and, with an explicit v2 target, the downgrade path).
     /// With `keep_generations = 1` the pre-compaction generation (and
     /// its shards) survives until the next commit; set it to 0 to
     /// reclaim the space immediately.

@@ -6,10 +6,9 @@ use super::crc::crc32c;
 use super::layout::manifest_name;
 use super::lease::{self, LeaseCore};
 use super::manifest::{Manifest, StoreEntry};
-use super::{ManifestVersion, Store, StoreError, StoreOptions, RECORD_HEADER_BYTES};
+use super::{Store, StoreError, StoreOptions, RECORD_HEADER_BYTES};
 use crate::backoff::Backoff;
 use crate::ingest::{DiagKind, Diagnostic, IngestReport};
-use crate::metapred::MetaPred;
 use crate::parallel::{parallel_map_catch, JobFailure};
 use crate::profile::Profile;
 use std::cell::{Cell, OnceCell};
@@ -32,7 +31,7 @@ pub struct StoreReader {
     /// Bytes read so far (manifest probing + shard headers, payloads,
     /// and magics), for pushdown accounting.
     bytes_read: Cell<u64>,
-    /// v2 entries with metadata materialized out of the columnar index
+    /// Entries with metadata materialized out of the columnar index
     /// (built on first [`StoreReader::entries`] call).
     materialized: OnceCell<Vec<StoreEntry>>,
     /// Open handles on every shard file, in shard order — present once
@@ -113,24 +112,17 @@ impl StoreReader {
     }
 
     /// The manifest's per-profile index, in storage order, with
-    /// metadata populated. For a v2 manifest this decodes **every**
-    /// column on first call (cached) — typed selection via
-    /// [`StoreReader::select`] decodes only the predicate's keys, so
-    /// prefer [`MetaPred`] on hot paths.
+    /// metadata populated. This decodes **every** metadata column on
+    /// first call (cached) — [`StoreReader::select_expr`] decodes only
+    /// the predicate's keys, so prefer a [`PredExpr`] on hot paths.
     pub fn entries(&self) -> &[StoreEntry] {
-        if self.manifest.version == ManifestVersion::V1 {
-            return &self.manifest.profiles;
-        }
         self.materialized.get_or_init(|| {
             let rows = self.manifest.meta_rows_lossy();
             self.manifest
                 .profiles
                 .iter()
                 .zip(rows)
-                .map(|(e, meta)| StoreEntry {
-                    meta,
-                    ..e.clone()
-                })
+                .map(|(e, meta)| StoreEntry { meta, ..e.clone() })
                 .collect()
         })
     }
@@ -141,23 +133,14 @@ impl StoreReader {
     }
 
     /// Every metadata key this store can answer predicates about
-    /// without shard I/O: the columnar index keys (v2/v3), or the
-    /// union of per-entry keys (v1). The loader's planner uses this to
-    /// decide which conjuncts push below the read.
+    /// without shard I/O: the columnar index keys. The loader's planner
+    /// uses this to decide which conjuncts push below the read.
     pub fn meta_keys(&self) -> BTreeSet<String> {
-        if self.manifest.version.columnar() {
-            self.manifest
-                .columns
-                .iter()
-                .map(|b| b.key().to_string())
-                .collect()
-        } else {
-            self.manifest
-                .profiles
-                .iter()
-                .flat_map(|e| e.meta.iter().map(|(k, _)| k.clone()))
-                .collect()
-        }
+        self.manifest
+            .columns
+            .iter()
+            .map(|b| b.key().to_string())
+            .collect()
     }
 
     /// Total bytes this reader has read so far — manifest bytes from
@@ -170,136 +153,57 @@ impl StoreReader {
         self.bytes_read.get()
     }
 
-    /// Entry indices (storage order) matching a typed predicate,
-    /// without any shard I/O. On a v2 manifest only the columns for
-    /// [`MetaPred::keys`] are decoded — non-referenced metadata is
-    /// never parsed. A named column that fails to decode is
-    /// [`StoreError::Corrupt`] (fsck classifies the damage).
-    pub fn select(&self, pred: &MetaPred) -> Result<Vec<usize>, StoreError> {
-        self.select_expr(&pred.to_expr())
-    }
-
-    /// [`StoreReader::select`] for an already-compiled [`PredExpr`] —
-    /// the unified engine's entry point. On a columnar manifest each
-    /// named key binds its `MetaBlock` (values + presence mask) straight
-    /// into the vectorized evaluator; unreferenced columns stay
-    /// undecoded. A v1 manifest falls back to a per-entry scalar walk.
+    /// Entry indices (storage order) matching a predicate, without any
+    /// shard I/O. Each named key binds its `MetaBlock` (values +
+    /// presence mask) straight into the vectorized evaluator;
+    /// unreferenced columns stay undecoded. A named column that fails
+    /// to decode is [`StoreError::Corrupt`] (fsck classifies the
+    /// damage).
     pub fn select_expr(&self, expr: &PredExpr) -> Result<Vec<usize>, StoreError> {
-        let n = self.manifest.profiles.len();
-        if !self.manifest.version.columnar() {
-            return Ok((0..n)
-                .filter(|&i| {
-                    let e = &self.manifest.profiles[i];
-                    expr.eval_lookup(&mut |k| e.meta(k).cloned())
-                })
-                .collect());
-        }
-        let mut src = BoundSource::new(n);
+        let mut src = BoundSource::new(self.manifest.profiles.len());
         for key in expr.fields() {
             if let Some(b) = self.manifest.column(key) {
                 let vals = b.values().map_err(StoreError::Corrupt)?;
                 src.bind_slice(key, vals, Some(b.present()));
             }
-            // A key no profile carries simply never matches:
-            // same semantics as a row whose meta lacks it.
+            // A key no profile carries simply never matches: a missing
+            // metadata key is false everywhere in the engine.
         }
         Ok(expr.eval(&src).positions())
     }
 
     /// Load every profile.
     pub fn load_all(&self) -> Result<(Vec<Profile>, IngestReport), StoreError> {
-        self.load_matching(&MetaPred::True)
+        let n = self.manifest.profiles.len();
+        let all: Vec<usize> = (0..n).collect();
+        self.load_indices(&all, crate::parallel::default_threads(n))
     }
 
-    /// Load the profiles matching a typed predicate: columnar
-    /// selection ([`StoreReader::select`]) followed by range reads
-    /// that skip shards the predicate excludes entirely.
+    /// Load the profiles matching a predicate: columnar selection
+    /// ([`StoreReader::select_expr`]) followed by range reads that skip
+    /// shards the predicate excludes entirely. `threads` is the worker
+    /// count for the payload-decode fan-out; results and diagnostics
+    /// are byte-identical for any `threads ≥ 1`.
     pub fn load_matching(
-        &self,
-        pred: &MetaPred,
-    ) -> Result<(Vec<Profile>, IngestReport), StoreError> {
-        self.load_matching_threads(pred, crate::parallel::default_threads(self.manifest.profiles.len()))
-    }
-
-    /// [`StoreReader::load_matching`] with an explicit worker count
-    /// for the payload-parse fan-out. Results and diagnostics are
-    /// byte-identical for any `threads ≥ 1`.
-    pub fn load_matching_threads(
-        &self,
-        pred: &MetaPred,
-        threads: usize,
-    ) -> Result<(Vec<Profile>, IngestReport), StoreError> {
-        let selected = self.select(pred)?;
-        self.load_selected(&selected, threads)
-    }
-
-    /// Load the profiles matching a compiled [`PredExpr`]: vectorized
-    /// columnar selection ([`StoreReader::select_expr`]) followed by
-    /// range reads that skip shards the predicate excludes entirely.
-    pub fn load_matching_expr(
         &self,
         expr: &PredExpr,
         threads: usize,
     ) -> Result<(Vec<Profile>, IngestReport), StoreError> {
         let selected = self.select_expr(expr)?;
-        self.load_selected(&selected, threads)
-    }
-
-    /// Closure selection over materialized entries: the engine behind
-    /// the loader builder's entry-closure escape hatch. Unlike
-    /// [`StoreReader::load_matching`]
-    /// this materializes every entry's metadata before evaluating
-    /// `pred`; prefer a typed [`MetaPred`] wherever one can express the
-    /// selection.
-    pub fn load_entries_where(
-        &self,
-        mut pred: impl FnMut(&StoreEntry) -> bool,
-        threads: usize,
-    ) -> Result<(Vec<Profile>, IngestReport), StoreError> {
-        let selected: Vec<usize> = self
-            .entries()
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| pred(e))
-            .map(|(i, _)| i)
-            .collect();
-        self.load_selected(&selected, threads)
+        self.load_indices(&selected, threads)
     }
 
     /// Load the profiles at `selected` entry indices (storage order,
-    /// as returned by [`StoreReader::select`] /
-    /// [`StoreReader::select_expr`]), skipping shards with no selected
-    /// member. This is the chunked-ingest primitive: select once, then
-    /// load the matching indices a bounded batch at a time.
+    /// as returned by [`StoreReader::select_expr`]), skipping shards
+    /// with no selected member. This is the chunked-ingest primitive:
+    /// select once, then load the matching indices a bounded batch at
+    /// a time.
     pub fn load_indices(
         &self,
         selected: &[usize],
         threads: usize,
     ) -> Result<(Vec<Profile>, IngestReport), StoreError> {
-        self.load_selected(selected, threads)
-    }
-
-    /// Read, verify, and parse the records at `selected` entry indices
-    /// (storage order), skipping shards with no selected member.
-    fn load_selected(
-        &self,
-        selected: &[usize],
-        threads: usize,
-    ) -> Result<(Vec<Profile>, IngestReport), StoreError> {
-        // Read the selected ranges, shard by shard, in storage order.
-        let mut raw: Vec<(usize, Result<PayloadSlice, Diagnostic>)> =
-            Vec::with_capacity(selected.len());
-        for si in 0..self.manifest.shards.len() {
-            let members: Vec<usize> = selected
-                .iter()
-                .copied()
-                .filter(|&i| self.manifest.profiles[i].shard == si)
-                .collect();
-            if members.is_empty() {
-                continue; // whole shard skipped: not even opened.
-            }
-            self.read_shard_members(si, &members, &mut raw)?;
-        }
+        let raw = self.read_records(selected)?;
 
         // Partition into decode jobs (payloads move, never copy — a
         // bulk-read shard is shared by all its records through the Arc)
@@ -350,9 +254,28 @@ impl StoreReader {
         Ok((profiles, report))
     }
 
+    /// Read and verify the framed records at `selected` entry indices,
+    /// shard by shard in storage order, skipping shards with no
+    /// selected member (not even opened). One `(entry index,
+    /// payload-or-diagnostic)` per selected index.
+    pub(crate) fn read_records(&self, selected: &[usize]) -> Result<Records, StoreError> {
+        let mut raw = Vec::with_capacity(selected.len());
+        for si in 0..self.manifest.shards.len() {
+            let members: Vec<usize> = selected
+                .iter()
+                .copied()
+                .filter(|&i| self.manifest.profiles[i].shard == si)
+                .collect();
+            if !members.is_empty() {
+                self.read_shard_members(si, &members, &mut raw)?;
+            }
+        }
+        Ok(raw)
+    }
+
     /// Read the framed records for `members` (entry indices, all in
-    /// shard `si`), verifying framing and CRC as we go. Pushes one
-    /// `(entry index, payload-or-diagnostic)` per member, in member
+    /// shard `si`), each frame verified by [`Self::read_frame`]. Pushes
+    /// one `(entry index, payload-or-diagnostic)` per member, in member
     /// order.
     ///
     /// Dense selections (members cover at least half the shard's bytes)
@@ -360,14 +283,13 @@ impl StoreReader {
     /// that buffer; sparse selections seek to each record's frame so
     /// skipped records cost no I/O. `bytes_read` reflects whichever
     /// actually happened.
-    pub(crate) fn read_shard_members(
+    fn read_shard_members(
         &self,
         si: usize,
         members: &[usize],
-        out: &mut Vec<(usize, Result<PayloadSlice, Diagnostic>)>,
+        out: &mut Records,
     ) -> Result<(), StoreError> {
         let info = &self.manifest.shards[si];
-        let path = self.dir.join(&info.file);
         let member_frame_bytes: u64 = members
             .iter()
             .map(|&i| RECORD_HEADER_BYTES as u64 + self.manifest.profiles[i].len as u64)
@@ -380,129 +302,56 @@ impl StoreReader {
         let owned;
         let mut file: &File = match self.handles.as_ref().map(|hs| &hs[si]) {
             Some(f) => f,
-            None => match File::open(&path) {
+            None => match File::open(self.dir.join(&info.file)) {
                 Ok(f) => {
                     owned = f;
                     &owned
                 }
                 Err(e) => {
-                    // The whole shard is unreadable: every member gets
-                    // the same classified diagnostic.
-                    for &i in members {
-                        out.push((
-                            i,
-                            Err(Diagnostic {
-                                source: info.file.clone(),
-                                kind: DiagKind::Io(format!("{}: {e}", info.file)),
-                            }),
-                        ));
-                    }
+                    shard_unreadable(&info.file, members, &e, out);
                     return Ok(());
                 }
             },
         };
         let file_len = file.metadata().map(|m| m.len()).unwrap_or(0);
         for &i in members {
-            let entry = &self.manifest.profiles[i];
-            // Framing extends past EOF → the shard is torn. Manifest
-            // parsing already bounds every entry against its shard's
-            // *declared* size; this re-checks against the file's
-            // *actual* size (overflow-proof) before the length is used
-            // to allocate, so a truncated file or a stale manifest can
-            // never trigger an oversized read.
-            let payload_end = entry.offset.checked_add(entry.len as u64);
-            if payload_end.is_none()
-                || payload_end.unwrap() > file_len
-                || entry.offset < RECORD_HEADER_BYTES as u64
-            {
-                out.push((
-                    i,
-                    Err(Diagnostic {
-                        source: record_source(&self.manifest, i),
-                        kind: DiagKind::TornShard {
-                            shard: info.file.clone(),
-                        },
-                    }),
-                ));
-                continue;
-            }
-            let mut header = [0u8; RECORD_HEADER_BYTES];
-            let mut payload = vec![0u8; entry.len as usize];
-            let read = (|| -> io::Result<()> {
-                file.seek(SeekFrom::Start(entry.offset - RECORD_HEADER_BYTES as u64))?;
-                file.read_exact(&mut header)?;
-                file.read_exact(&mut payload)?;
-                Ok(())
-            })();
-            self.bytes_read
-                .set(self.bytes_read.get() + (RECORD_HEADER_BYTES + entry.len as usize) as u64);
-            if let Err(e) = read {
-                out.push((
-                    i,
-                    Err(Diagnostic {
-                        source: record_source(&self.manifest, i),
-                        kind: DiagKind::Io(format!("{}: {e}", info.file)),
-                    }),
-                ));
-                continue;
-            }
-            let framed_len = u32::from_le_bytes(header[..4].try_into().unwrap());
-            let framed_crc = u32::from_le_bytes(header[4..].try_into().unwrap());
-            let ok = framed_len == entry.len
-                && framed_crc == entry.crc
-                && crc32c(&payload) == entry.crc;
-            if ok {
-                out.push((i, Ok(PayloadSlice::owned(payload))));
-            } else {
-                out.push((
-                    i,
-                    Err(Diagnostic {
-                        source: record_source(&self.manifest, i),
-                        kind: DiagKind::ChecksumMismatch {
-                            shard: info.file.clone(),
-                            record: record_index_of(&self.manifest, i),
-                        },
-                    }),
-                ));
-            }
+            let record = self.read_frame(i, file_len, |start, len| {
+                let mut frame = vec![0u8; len];
+                let read = file
+                    .seek(SeekFrom::Start(start))
+                    .and_then(|_| file.read_exact(&mut frame));
+                self.bytes_read.set(self.bytes_read.get() + len as u64);
+                read.map(|()| (Arc::new(frame), 0))
+            });
+            out.push((i, record));
         }
         Ok(())
     }
 
     /// Dense-selection counterpart of [`Self::read_shard_members`]: one
-    /// `fs::read` for the whole shard, then every member validates its
-    /// frame against a shared `Arc` of that buffer. No seeks, no
+    /// `fs::read` for the whole shard, then every member's frame is
+    /// verified against a shared `Arc` of that buffer. No seeks, no
     /// per-record allocation.
     fn read_shard_bulk(
         &self,
         si: usize,
         members: &[usize],
-        out: &mut Vec<(usize, Result<PayloadSlice, Diagnostic>)>,
+        out: &mut Records,
     ) -> Result<(), StoreError> {
         let info = &self.manifest.shards[si];
         let whole = match self.handles.as_ref().map(|hs| &hs[si]) {
             // Pinned: rewind the held handle and drain it — works even
             // after the file is unlinked.
-            Some(mut f) => f
-                .seek(SeekFrom::Start(0))
-                .and_then(|_| {
-                    let mut buf = Vec::with_capacity(info.bytes as usize);
-                    f.read_to_end(&mut buf).map(|_| buf)
-                }),
+            Some(mut f) => f.seek(SeekFrom::Start(0)).and_then(|_| {
+                let mut buf = Vec::with_capacity(info.bytes as usize);
+                f.read_to_end(&mut buf).map(|_| buf)
+            }),
             None => std::fs::read(self.dir.join(&info.file)),
         };
         let bytes = match whole {
             Ok(b) => Arc::new(b),
             Err(e) => {
-                for &i in members {
-                    out.push((
-                        i,
-                        Err(Diagnostic {
-                            source: info.file.clone(),
-                            kind: DiagKind::Io(format!("{}: {e}", info.file)),
-                        }),
-                    ));
-                }
+                shard_unreadable(&info.file, members, &e, out);
                 return Ok(());
             }
         };
@@ -510,80 +359,97 @@ impl StoreReader {
             .set(self.bytes_read.get() + bytes.len() as u64);
         let file_len = bytes.len() as u64;
         for &i in members {
-            let entry = &self.manifest.profiles[i];
-            // Same torn-shard guard as the seek path: every declared
-            // range is proven inside the actual file before slicing.
-            let payload_end = entry.offset.checked_add(entry.len as u64);
-            if payload_end.is_none()
-                || payload_end.unwrap() > file_len
-                || entry.offset < RECORD_HEADER_BYTES as u64
-            {
-                out.push((
-                    i,
-                    Err(Diagnostic {
-                        source: record_source(&self.manifest, i),
-                        kind: DiagKind::TornShard {
-                            shard: info.file.clone(),
-                        },
-                    }),
-                ));
-                continue;
-            }
-            let start = entry.offset as usize;
-            let header = &bytes[start - RECORD_HEADER_BYTES..start];
-            let payload = &bytes[start..start + entry.len as usize];
-            let framed_len = u32::from_le_bytes(header[..4].try_into().unwrap());
-            let framed_crc = u32::from_le_bytes(header[4..].try_into().unwrap());
-            let ok = framed_len == entry.len
-                && framed_crc == entry.crc
-                && crc32c(payload) == entry.crc;
-            if ok {
-                out.push((
-                    i,
-                    Ok(PayloadSlice::shared(
-                        Arc::clone(&bytes),
-                        start..start + entry.len as usize,
-                    )),
-                ));
-            } else {
-                out.push((
-                    i,
-                    Err(Diagnostic {
-                        source: record_source(&self.manifest, i),
-                        kind: DiagKind::ChecksumMismatch {
-                            shard: info.file.clone(),
-                            record: record_index_of(&self.manifest, i),
-                        },
-                    }),
-                ));
-            }
+            let record = self.read_frame(i, file_len, |start, _| {
+                Ok((Arc::clone(&bytes), start as usize))
+            });
+            out.push((i, record));
         }
         Ok(())
     }
+
+    /// The one record-frame check both read paths share. In order:
+    ///
+    /// 1. **Torn-range guard.** Manifest parsing already bounds every
+    ///    entry against its shard's *declared* size; this re-checks
+    ///    against the file's *actual* size `file_len` (overflow-proof)
+    ///    before the length is used to allocate or slice, so a
+    ///    truncated file or a stale manifest can never trigger an
+    ///    oversized read → [`DiagKind::TornShard`].
+    /// 2. **Fetch.** `fetch(frame_start, frame_len)` yields a buffer
+    ///    and the frame's start within it (`[u32 len][u32 crc][payload]`)
+    ///    — a fresh read on the seek path, the shared whole-shard
+    ///    buffer on the dense path. An I/O error → [`DiagKind::Io`].
+    /// 3. **Header and payload CRC.** The framed length and CRC must
+    ///    match the manifest entry, and the payload must hash to it →
+    ///    otherwise [`DiagKind::ChecksumMismatch`].
+    fn read_frame(
+        &self,
+        i: usize,
+        file_len: u64,
+        fetch: impl FnOnce(u64, usize) -> io::Result<(Arc<Vec<u8>>, usize)>,
+    ) -> Result<PayloadSlice, Diagnostic> {
+        let entry = &self.manifest.profiles[i];
+        let shard = &self.manifest.shards[entry.shard].file;
+        let diag = |kind| Diagnostic {
+            source: record_source(&self.manifest, i),
+            kind,
+        };
+        let payload_end = entry.offset.checked_add(entry.len as u64);
+        if payload_end.is_none_or(|end| end > file_len) || entry.offset < RECORD_HEADER_BYTES as u64
+        {
+            return Err(diag(DiagKind::TornShard {
+                shard: shard.clone(),
+            }));
+        }
+        let frame_len = RECORD_HEADER_BYTES + entry.len as usize;
+        let (bytes, start) = fetch(entry.offset - RECORD_HEADER_BYTES as u64, frame_len)
+            .map_err(|e| diag(DiagKind::Io(format!("{shard}: {e}"))))?;
+        let header = &bytes[start..start + RECORD_HEADER_BYTES];
+        let framed_len = u32::from_le_bytes(header[..4].try_into().unwrap());
+        let framed_crc = u32::from_le_bytes(header[4..].try_into().unwrap());
+        let range = start + RECORD_HEADER_BYTES..start + frame_len;
+        if framed_len == entry.len
+            && framed_crc == entry.crc
+            && crc32c(&bytes[range.clone()]) == entry.crc
+        {
+            Ok(PayloadSlice { bytes, range })
+        } else {
+            Err(diag(DiagKind::ChecksumMismatch {
+                shard: shard.clone(),
+                record: record_index_of(&self.manifest, i),
+            }))
+        }
+    }
 }
 
-/// A record payload: either its own buffer (sparse seek reads) or a
-/// range of a whole-shard read shared by every record in the shard
-/// (dense bulk reads). Decoders borrow the slice either way — nothing
-/// is copied between disk and the parser.
+/// The whole shard is unreadable: every member gets the same
+/// classified diagnostic.
+fn shard_unreadable(file: &str, members: &[usize], e: &io::Error, out: &mut Records) {
+    for &i in members {
+        out.push((
+            i,
+            Err(Diagnostic {
+                source: file.to_string(),
+                kind: DiagKind::Io(format!("{file}: {e}")),
+            }),
+        ));
+    }
+}
+
+/// Read records in selection order: `(entry index, payload or the
+/// diagnostic that replaced it)`.
+pub(crate) type Records = Vec<(usize, Result<PayloadSlice, Diagnostic>)>;
+
+/// A record payload: a range of either its own frame buffer (sparse
+/// seek reads) or a whole-shard read shared by every record in the
+/// shard (dense bulk reads). Decoders borrow the slice either way —
+/// nothing is copied between disk and the parser.
 pub(crate) struct PayloadSlice {
     bytes: Arc<Vec<u8>>,
     range: std::ops::Range<usize>,
 }
 
 impl PayloadSlice {
-    fn owned(bytes: Vec<u8>) -> Self {
-        let range = 0..bytes.len();
-        PayloadSlice {
-            bytes: Arc::new(bytes),
-            range,
-        }
-    }
-
-    fn shared(bytes: Arc<Vec<u8>>, range: std::ops::Range<usize>) -> Self {
-        PayloadSlice { bytes, range }
-    }
-
     pub(crate) fn as_slice(&self) -> &[u8] {
         &self.bytes[self.range.clone()]
     }

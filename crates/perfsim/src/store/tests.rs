@@ -1,14 +1,28 @@
 use super::layout::{manifest_name, shard_name};
 use super::manifest::{build_columns, mask_from_hex, mask_to_hex};
 use super::*;
-use crate::metapred::MetaPred;
 use crate::rajaperf::{simulate_cpu_run, CpuRunConfig};
-use std::path::PathBuf;
-use thicket_dataframe::Value;
+use std::path::{Path, PathBuf};
+use thicket_dataframe::{PredExpr, Value};
 
 fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("thicket-store-{name}"));
+    let dir = std::env::temp_dir().join(format!("thicket-store-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A fresh copy of a checked-in legacy store (`tests/fixtures/<name>`),
+/// so opening, pinning and compacting never touch the fixture itself.
+fn fixture(name: &str) -> PathBuf {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
+    let dir = tmp(&format!("fixture-{name}"));
+    std::fs::create_dir_all(&dir).unwrap();
+    for f in std::fs::read_dir(&src).unwrap() {
+        let f = f.unwrap();
+        std::fs::copy(f.path(), dir.join(f.file_name())).unwrap();
+    }
     dir
 }
 
@@ -112,7 +126,7 @@ fn load_matching_pushdown_reads_fewer_bytes() {
 
     let filtered = Store::open(&dir).unwrap();
     let (subset, rep) = filtered
-        .load_matching(&MetaPred::eq("seed", 2i64))
+        .load_matching(&PredExpr::eq("seed", 2i64), 2)
         .unwrap();
     assert!(rep.is_clean());
     assert!(filtered.bytes_read() < full_bytes);
@@ -164,7 +178,9 @@ fn bytes_read_is_exact_frame_accounting() {
     // (its one record is most of the file), so the cost is that
     // shard's file size; skipped shards are never opened.
     let filtered = Store::open(&dir).unwrap();
-    let (subset, rep) = filtered.load_matching(&MetaPred::eq("seed", 2i64)).unwrap();
+    let (subset, rep) = filtered
+        .load_matching(&PredExpr::eq("seed", 2i64), 2)
+        .unwrap();
     assert!(rep.is_clean());
     assert_eq!(subset.len(), 1);
     let entry = filtered
@@ -187,7 +203,9 @@ fn bytes_read_is_exact_frame_accounting() {
     let manifest_bytes = std::fs::metadata(dir.join(manifest_name(sparse.manifest().generation)))
         .unwrap()
         .len();
-    let (subset, rep) = sparse.load_matching(&MetaPred::eq("seed", 2i64)).unwrap();
+    let (subset, rep) = sparse
+        .load_matching(&PredExpr::eq("seed", 2i64), 2)
+        .unwrap();
     assert!(rep.is_clean());
     assert_eq!(subset.len(), 1);
     let entry = sparse
@@ -213,7 +231,7 @@ fn select_decodes_only_named_columns() {
         reader.manifest().columns.len() > 2,
         "quartz runs carry several metadata keys"
     );
-    let idx = reader.select(&MetaPred::lt("seed", 3i64)).unwrap();
+    let idx = reader.select_expr(&PredExpr::lt("seed", 3i64)).unwrap();
     assert_eq!(idx, vec![0, 1, 2]);
     for b in &reader.manifest().columns {
         assert_eq!(
@@ -233,21 +251,21 @@ fn columnar_selection_matches_row_selection() {
     Store::save(&dir, &profiles).unwrap();
     let reader = Store::open(&dir).unwrap();
     let preds = [
-        MetaPred::True,
-        MetaPred::eq("cluster", "quartz"),
-        MetaPred::eq("seed", 3i64).not(),
-        MetaPred::is_in("seed", [1i64, 5, 99]),
-        MetaPred::ge("seed", 2i64).and(MetaPred::lt("seed", 6i64)),
-        MetaPred::eq("no-such-key", 1i64),
-        MetaPred::eq("no-such-key", 1i64).not(),
+        PredExpr::True,
+        PredExpr::eq("cluster", "quartz"),
+        PredExpr::not(PredExpr::eq("seed", 3i64)),
+        PredExpr::is_in("seed", [1i64, 5, 99]),
+        PredExpr::and([PredExpr::ge("seed", 2i64), PredExpr::lt("seed", 6i64)]),
+        PredExpr::eq("no-such-key", 1i64),
+        PredExpr::not(PredExpr::eq("no-such-key", 1i64)),
     ];
     for pred in &preds {
-        let columnar = reader.select(pred).unwrap();
+        let columnar = reader.select_expr(pred).unwrap();
         let by_rows: Vec<usize> = reader
             .entries()
             .iter()
             .enumerate()
-            .filter(|(_, e)| pred.eval_with(&mut |k| e.meta(k)))
+            .filter(|(_, e)| pred.eval_lookup(&mut |k| e.meta(k).cloned()))
             .map(|(i, _)| i)
             .collect();
         assert_eq!(columnar, by_rows, "pred: {pred}");
@@ -257,42 +275,6 @@ fn columnar_selection_matches_row_selection() {
 
 #[test]
 fn manifest_roundtrip_and_self_check() {
-    let m = Manifest {
-        generation: 7,
-        version: ManifestVersion::V1,
-        shards: vec![ShardInfo {
-            file: shard_name(7, 0),
-            bytes: 100,
-            crc: 42,
-            records: 1,
-        }],
-        profiles: vec![StoreEntry {
-            hash: i64::MIN + 3,
-            shard: 0,
-            offset: 12,
-            len: 88,
-            crc: 7,
-            meta: vec![
-                ("cluster".into(), Value::from("quartz")),
-                ("size".into(), Value::Int(1 << 60)),
-            ],
-        }],
-        columns: Vec::new(),
-    };
-    let bytes = m.to_file_bytes();
-    let back = Manifest::from_file_bytes(&bytes).unwrap();
-    assert_eq!(back, m);
-    // Any body mutation breaks the self-CRC.
-    let mut bad = bytes.clone();
-    let last = bad.len() - 1;
-    bad[last] ^= 0x20;
-    assert!(Manifest::from_file_bytes(&bad).is_err());
-    // Truncation breaks it too.
-    assert!(Manifest::from_file_bytes(&bytes[..bytes.len() / 2]).is_err());
-}
-
-#[test]
-fn v2_manifest_roundtrips_columns_and_masks() {
     let rows = vec![
         vec![
             ("cluster".to_string(), Value::from("quartz")),
@@ -302,7 +284,7 @@ fn v2_manifest_roundtrips_columns_and_masks() {
     ];
     let m = Manifest {
         generation: 3,
-        version: ManifestVersion::V2,
+        version: ManifestVersion::V3,
         shards: vec![ShardInfo {
             file: shard_name(3, 0),
             bytes: 64,
@@ -311,7 +293,7 @@ fn v2_manifest_roundtrips_columns_and_masks() {
         }],
         profiles: (0..2)
             .map(|i| StoreEntry {
-                hash: i as i64,
+                hash: i64::MIN + i,
                 shard: 0,
                 offset: 12 + i as u64,
                 len: 4,
@@ -324,7 +306,6 @@ fn v2_manifest_roundtrips_columns_and_masks() {
     let bytes = m.to_file_bytes();
     let back = Manifest::from_file_bytes(&bytes).unwrap();
     assert_eq!(back, m);
-    assert_eq!(back.version, ManifestVersion::V2);
     // Parsed columns start undecoded; decode recovers the values
     // and the presence mask distinguishes absent from Null.
     let size = back.column("size").unwrap();
@@ -335,6 +316,47 @@ fn v2_manifest_roundtrips_columns_and_masks() {
     assert!(back.column("nope").is_none());
     // meta_rows reconstructs the per-profile rows, key-sorted.
     assert_eq!(back.meta_rows().unwrap(), rows);
+    // Any body mutation breaks the self-CRC.
+    let mut bad = bytes.clone();
+    let last = bad.len() - 1;
+    bad[last] ^= 0x20;
+    assert!(Manifest::from_file_bytes(&bad).is_err());
+    // Truncation breaks it too.
+    assert!(Manifest::from_file_bytes(&bytes[..bytes.len() / 2]).is_err());
+}
+
+#[test]
+fn v2_manifest_roundtrips_columns_and_masks() {
+    // The checked-in v1 and v2 manifests parse into the same columnar
+    // index (v1's per-entry metadata folded into columns, entries left
+    // bare), and rewriting either one yields a v3 manifest with the
+    // same columns and masks.
+    let read = |name: &str| {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures")
+            .join(name)
+            .join(manifest_name(1));
+        Manifest::from_file_bytes(&std::fs::read(path).unwrap()).unwrap()
+    };
+    let v1 = read("store-v1");
+    let v2 = read("store-v2");
+    assert_eq!(v1.version, ManifestVersion::V1);
+    assert_eq!(v2.version, ManifestVersion::V2);
+    assert_eq!(v1.profiles, v2.profiles);
+    assert!(v1.profiles.iter().all(|e| e.meta.is_empty()));
+    assert_eq!(v1.meta_rows().unwrap(), v2.meta_rows().unwrap());
+    let keys: Vec<&str> = v2.columns.iter().map(|b| b.key()).collect();
+    assert_eq!(keys, v1.columns.iter().map(|b| b.key()).collect::<Vec<_>>());
+    assert!(keys.contains(&"seed") && keys.contains(&"cluster"));
+    let seeds = v2.column("seed").unwrap();
+    assert_eq!(seeds.present(), &[true; 4]);
+    assert_eq!(seeds.values().unwrap(), &[0i64, 1, 2, 3].map(Value::Int));
+    for old in [v1, v2] {
+        let back = Manifest::from_file_bytes(&old.to_file_bytes()).unwrap();
+        assert_eq!(back.version, ManifestVersion::V3);
+        assert_eq!(back.profiles, old.profiles);
+        assert_eq!(back.columns, old.columns);
+    }
 }
 
 #[test]
@@ -375,7 +397,9 @@ fn append_reuses_shards_and_skips_duplicates() {
     assert_eq!(r3.shards, 0);
     // A typed predicate still selects across old + new entries.
     let reader = Store::open(&dir).unwrap();
-    let (subset, _) = reader.load_matching(&MetaPred::ge("seed", 3i64)).unwrap();
+    let (subset, _) = reader
+        .load_matching(&PredExpr::ge("seed", 3i64), 2)
+        .unwrap();
     assert_eq!(subset.len(), 2);
     // Once gen 1 leaves the retention window, its shards survive
     // while still referenced by the live manifest.
@@ -421,36 +445,40 @@ fn compact_repacks_fragmented_shards() {
 
 #[test]
 fn compact_migrates_old_formats_to_v3() {
-    for old in [ManifestVersion::V1, ManifestVersion::V2] {
-        let dir = tmp(&format!("migrate-{old:?}"));
-        let profiles = runs(4);
-        let old_opts = StoreOptions {
-            format: old,
-            ..StoreOptions::default()
-        };
-        Store::save_opts(&dir, &profiles, &old_opts).unwrap();
+    let pred = PredExpr::is_in("seed", [1i64, 3]);
+    let mut loads = Vec::new();
+    for (name, old) in [
+        ("store-v1", ManifestVersion::V1),
+        ("store-v2", ManifestVersion::V2),
+    ] {
+        let dir = fixture(name);
         // The old format loads unchanged through the auto-detecting
-        // reader.
+        // reader, and pushdown selects through the columnar index.
         let reader = Store::open(&dir).unwrap();
         assert_eq!(reader.manifest().version, old);
         let (loaded, rep) = reader.load_all().unwrap();
-        assert!(rep.is_clean());
-        assert_eq!(hashes(&loaded), hashes(&profiles));
-        if old.columnar() {
-            let idx = reader.select(&MetaPred::eq("seed", 1i64)).unwrap();
-            assert_eq!(idx.len(), 1);
-        }
-        // Compaction rewrites it as v3 — binary record payloads
-        // under an intact columnar index.
-        Store::compact(&dir).unwrap();
-        let reader = Store::open(&dir).unwrap();
-        assert_eq!(reader.manifest().version, ManifestVersion::V3);
-        assert!(reader.manifest().column("seed").is_some());
-        let (migrated, rep) = reader.load_all().unwrap();
-        assert!(rep.is_clean());
-        assert_eq!(hashes(&migrated), hashes(&profiles));
+        assert!(rep.is_clean(), "{rep}");
+        assert_eq!(loaded.len(), 4);
+        let selected = reader.select_expr(&pred).unwrap();
+        assert_eq!(selected, vec![1, 3]);
+        // Compaction rewrites it as v3 — binary record payloads under
+        // an intact columnar index — selecting the same set.
+        let c = Store::compact(&dir).unwrap();
+        assert!(c.report.is_clean(), "{}", c.report);
+        let migrated = Store::open(&dir).unwrap();
+        assert_eq!(migrated.manifest().version, ManifestVersion::V3);
+        assert_eq!(migrated.select_expr(&pred).unwrap(), selected);
+        let (after, rep) = migrated.load_all().unwrap();
+        assert!(rep.is_clean(), "{rep}");
         assert!(Store::fsck(&dir).unwrap().is_clean());
+        let render = |ps: &[Profile]| ps.iter().map(Profile::to_string_pretty).collect::<Vec<_>>();
+        loads.push(render(&loaded));
+        loads.push(render(&after));
         std::fs::remove_dir_all(dir).ok();
+    }
+    // v1, compacted v1, v2 and compacted v2 all hold the same profiles.
+    for other in &loads[1..] {
+        assert_eq!(other, &loads[0]);
     }
 }
 
@@ -726,7 +754,7 @@ fn pinned_snapshot_survives_unlinked_files() {
     assert!(rep.is_clean(), "{rep}");
     assert_eq!(hashes(&loaded), hashes(&profiles));
     // Selection and filtered loads ride the same handles.
-    let (subset, _) = snap.load_matching(&MetaPred::ge("seed", 2i64)).unwrap();
+    let (subset, _) = snap.load_matching(&PredExpr::ge("seed", 2i64), 2).unwrap();
     assert_eq!(subset.len(), 2);
     std::fs::remove_dir_all(dir).ok();
 }

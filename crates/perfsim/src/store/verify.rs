@@ -230,7 +230,7 @@ pub(crate) fn fsck(dir: &Path, opts: &StoreOptions) -> Result<FsckReport, StoreE
                     referenced.insert(info.file.clone());
                     findings.extend(check_shard(dir, info, entry_ranges(&m, si)));
                 }
-                // Deep-verify the v2 columnar index: every block
+                // Deep-verify the columnar index: every block
                 // must decode and agree with its presence mask.
                 for b in &m.columns {
                     if let Err(why) = b.values() {

@@ -16,7 +16,7 @@ use super::layout::{
 };
 use super::lease;
 use super::manifest::{build_columns, sorted_meta, Manifest, ShardInfo, StoreEntry};
-use super::reader::{record_index_of, PayloadSlice};
+use super::reader::record_index_of;
 use super::{
     AppendMode, CompactReport, ManifestVersion, Store, StoreError, StoreOptions, WriteReport,
     RECORD_HEADER_BYTES, SHARD_MAGIC,
@@ -63,31 +63,22 @@ struct Placement {
     crc: u32,
 }
 
-/// Encode one profile as a record payload in the target format's
-/// encoding: binary `TKP3` for v3, a JSON document otherwise.
-pub(crate) fn encode_payload(p: &Profile, format: ManifestVersion) -> Vec<u8> {
-    match format {
-        ManifestVersion::V3 => crate::binprofile::encode_profile(p),
-        _ => p.to_string_pretty().into_bytes(),
-    }
-}
-
 /// One profile fully prepared for commit — hash, sorted metadata row,
-/// and encoded payload — so the commit lock is held only for I/O, not
-/// for encoding.
+/// and `TKP3`-encoded payload — so the commit lock is held only for
+/// I/O, not for encoding.
 pub(crate) struct Staged {
     pub(crate) hash: i64,
     pub(crate) row: Vec<(String, Value)>,
     pub(crate) payload: Vec<u8>,
 }
 
-pub(crate) fn stage(profiles: &[Profile], format: ManifestVersion) -> Vec<Staged> {
+pub(crate) fn stage(profiles: &[Profile]) -> Vec<Staged> {
     profiles
         .iter()
         .map(|p| Staged {
             hash: p.profile_hash(),
             row: sorted_meta(p),
-            payload: encode_payload(p, format),
+            payload: crate::binprofile::encode_profile(p),
         })
         .collect()
 }
@@ -111,6 +102,19 @@ fn pack_shards(payloads: &[&[u8]], shard_bytes: usize) -> Vec<Vec<usize>> {
         shards.push(open);
     }
     shards
+}
+
+/// The manifest entry for a placed record (metadata lives in the
+/// manifest's columns, not in the entry).
+fn placed_entry(hash: i64, shard: usize, pl: &Placement) -> StoreEntry {
+    StoreEntry {
+        hash,
+        shard,
+        offset: pl.offset,
+        len: pl.len,
+        crc: pl.crc,
+        meta: Vec::new(),
+    }
 }
 
 /// Write the packed shard files under generation `gen` (final names —
@@ -291,27 +295,14 @@ pub(crate) fn save_locked(
     let entries: Vec<StoreEntry> = staged
         .iter()
         .zip(&placements)
-        .zip(&rows)
-        .map(|((s, pl), row)| StoreEntry {
-            hash: s.hash,
-            shard: pl.shard,
-            offset: pl.offset,
-            len: pl.len,
-            crc: pl.crc,
-            meta: row.clone(),
-        })
+        .map(|(s, pl)| placed_entry(s.hash, pl.shard, pl))
         .collect();
-    let columns = if opts.format.columnar() {
-        build_columns(&rows)
-    } else {
-        Vec::new()
-    };
     let manifest = Manifest {
         generation: gen,
-        version: opts.format,
+        version: ManifestVersion::V3,
         shards: shard_infos,
         profiles: entries,
-        columns,
+        columns: build_columns(&rows),
     };
     commit_manifest(dir, &manifest, &mut clock)?;
     gc_generations(
@@ -391,21 +382,11 @@ pub(crate) fn append_locked(
     let shard_base = base.shards.len();
     let mut rows = base_rows;
     let mut entries = base.profiles.clone();
-    for (i, e) in entries.iter_mut().enumerate() {
-        e.meta = rows[i].clone();
-    }
     let mut appended = 0usize;
     let mut replaced = 0usize;
     for (j, s) in writing.iter().enumerate() {
         let pl = &placements[j];
-        let entry = StoreEntry {
-            hash: s.hash,
-            shard: shard_base + pl.shard,
-            offset: pl.offset,
-            len: pl.len,
-            crc: pl.crc,
-            meta: s.row.clone(),
-        };
+        let entry = placed_entry(s.hash, shard_base + pl.shard, pl);
         match base_index.get(&s.hash) {
             // Upsert: the entry is replaced in place (load order keeps
             // the original slot); the superseded record's bytes stay in
@@ -422,19 +403,14 @@ pub(crate) fn append_locked(
             }
         }
     }
-    let columns = if opts.format.columnar() {
-        build_columns(&rows)
-    } else {
-        Vec::new()
-    };
     let mut shards = base.shards.clone();
     shards.extend(new_infos);
     let manifest = Manifest {
         generation: gen,
-        version: opts.format,
+        version: ManifestVersion::V3,
         shards,
         profiles: entries,
-        columns,
+        columns: build_columns(&rows),
     };
     let total = manifest.profiles.len();
     commit_manifest(dir, &manifest, &mut clock)?;
@@ -464,30 +440,20 @@ pub(crate) fn compact_locked(dir: &Path, opts: &StoreOptions) -> Result<CompactR
     let reader = Store::open(dir)?;
     let base = reader.manifest();
     let rows = base.meta_rows().map_err(StoreError::Corrupt)?;
-    let mut raw: Vec<(usize, Result<PayloadSlice, Diagnostic>)> =
-        Vec::with_capacity(base.profiles.len());
-    for si in 0..base.shards.len() {
-        let members: Vec<usize> = (0..base.profiles.len())
-            .filter(|&i| base.profiles[i].shard == si)
-            .collect();
-        if !members.is_empty() {
-            reader.read_shard_members(si, &members, &mut raw)?;
-        }
-    }
+    let all: Vec<usize> = (0..base.profiles.len()).collect();
+    let raw = reader.read_records(&all)?;
     let mut diagnostics = Vec::new();
     let mut kept: Vec<usize> = Vec::with_capacity(raw.len());
     let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(raw.len());
-    let want_binary = opts.format == ManifestVersion::V3;
     for (i, r) in raw {
         match r {
-            // A payload already in the target encoding is carried
-            // byte-for-byte; one in the other encoding is
-            // transcoded (the migration path). A record that fails
-            // to transcode is dropped with a typed diagnostic, like
-            // salvage.
+            // A binary payload is carried byte-for-byte; a JSON one
+            // (from a v1/v2 generation) is transcoded — the migration
+            // path. A record that fails to transcode is dropped with a
+            // typed diagnostic, like salvage.
             Ok(payload) => {
                 let bytes = payload.as_slice();
-                if crate::binprofile::is_binary_payload(bytes) == want_binary {
+                if crate::binprofile::is_binary_payload(bytes) {
                     kept.push(i);
                     payloads.push(bytes.to_vec());
                     continue;
@@ -495,7 +461,7 @@ pub(crate) fn compact_locked(dir: &Path, opts: &StoreOptions) -> Result<CompactR
                 match crate::binprofile::decode_payload(bytes) {
                     Ok(p) => {
                         kept.push(i);
-                        payloads.push(encode_payload(&p, opts.format));
+                        payloads.push(crate::binprofile::encode_profile(&p));
                     }
                     Err(e) => diagnostics.push(Diagnostic {
                         source: format!(
@@ -525,27 +491,14 @@ pub(crate) fn compact_locked(dir: &Path, opts: &StoreOptions) -> Result<CompactR
     let entries: Vec<StoreEntry> = kept
         .iter()
         .zip(&placements)
-        .zip(&kept_rows)
-        .map(|((&i, pl), row)| StoreEntry {
-            hash: base.profiles[i].hash,
-            shard: pl.shard,
-            offset: pl.offset,
-            len: pl.len,
-            crc: pl.crc,
-            meta: row.clone(),
-        })
+        .map(|(&i, pl)| placed_entry(base.profiles[i].hash, pl.shard, pl))
         .collect();
-    let columns = if opts.format.columnar() {
-        build_columns(&kept_rows)
-    } else {
-        Vec::new()
-    };
     let manifest = Manifest {
         generation: gen,
-        version: opts.format,
+        version: ManifestVersion::V3,
         shards: shard_infos,
         profiles: entries,
-        columns,
+        columns: build_columns(&kept_rows),
     };
     let attempted = base.profiles.len();
     let loaded = manifest.profiles.len();

@@ -107,8 +107,7 @@ proptest! {
 // ---------------------------------------------------------------------
 // Columnar selection ≡ row selection for arbitrary predicates.
 
-use thicket_dataframe::Value;
-use thicket_perfsim::{CmpOp, MetaPred};
+use thicket_dataframe::{PredExpr, PredOp, Value};
 
 /// Keys that exist in the simulated profiles' metadata plus one that
 /// never does (missing-key semantics must agree too).
@@ -135,51 +134,54 @@ fn value_strategy() -> impl Strategy<Value = Value> {
     ]
 }
 
-fn cmp_strategy() -> impl Strategy<Value = CmpOp> {
+/// The four ordering comparisons.
+fn cmp_strategy() -> impl Strategy<Value = PredOp> {
     prop_oneof![
-        Just(CmpOp::Lt),
-        Just(CmpOp::Le),
-        Just(CmpOp::Gt),
-        Just(CmpOp::Ge),
+        Just(PredOp::Lt),
+        Just(PredOp::Le),
+        Just(PredOp::Gt),
+        Just(PredOp::Ge),
     ]
 }
 
-/// Arbitrary predicate ASTs: leaves over the key/value pools, combined
-/// with And/Or/Not up to depth 3.
-fn pred_strategy() -> impl Strategy<Value = MetaPred> {
+/// Arbitrary predicate ASTs: leaves (True, `==`, the four orderings,
+/// `in`) over the key/value pools, combined with And/Or/Not up to
+/// depth 3.
+fn pred_strategy() -> impl Strategy<Value = PredExpr> {
     let leaf = prop_oneof![
-        Just(MetaPred::True),
-        (key_strategy(), value_strategy()).prop_map(|(k, v)| MetaPred::eq(k, v)),
+        Just(PredExpr::True),
+        (key_strategy(), value_strategy()).prop_map(|(k, v)| PredExpr::eq(k, v)),
         (key_strategy(), cmp_strategy(), value_strategy())
-            .prop_map(|(k, op, v)| MetaPred::Cmp(k, op, v)),
+            .prop_map(|(field, op, value)| PredExpr::Cmp { field, op, value }),
         (key_strategy(), proptest::collection::vec(value_strategy(), 0..3))
-            .prop_map(|(k, vs)| MetaPred::is_in(k, vs)),
+            .prop_map(|(k, vs)| PredExpr::is_in(k, vs)),
     ];
     leaf.prop_recursive(3, 24, 3, |inner| {
         prop_oneof![
-            proptest::collection::vec(inner.clone(), 1..3).prop_map(MetaPred::And),
-            proptest::collection::vec(inner.clone(), 1..3).prop_map(MetaPred::Or),
-            inner.prop_map(|p| p.not()),
+            proptest::collection::vec(inner.clone(), 1..3).prop_map(PredExpr::And),
+            proptest::collection::vec(inner.clone(), 1..3).prop_map(PredExpr::Or),
+            inner.prop_map(PredExpr::not),
         ]
     })
 }
 
 proptest! {
-    /// The v2 columnar index path (`StoreReader::select`, which decodes
-    /// only the key blocks the predicate names) selects exactly the
-    /// rows that evaluating the predicate against each materialized
-    /// manifest entry selects — for arbitrary predicate shapes.
+    /// The columnar index path (`StoreReader::select_expr`, which
+    /// decodes only the key blocks the predicate names and evaluates
+    /// them vectorized) selects exactly the rows that the scalar
+    /// `PredExpr::eval_lookup` selects over each materialized manifest
+    /// entry — for arbitrary predicate shapes.
     #[test]
     fn columnar_selection_equals_row_selection(pred in pred_strategy()) {
         let (base, _) = base_store();
         let reader = Store::open(base).unwrap();
 
-        let columnar = reader.select(&pred).unwrap();
+        let columnar = reader.select_expr(&pred).unwrap();
         let by_rows: Vec<usize> = reader
             .entries()
             .iter()
             .enumerate()
-            .filter(|(_, e)| pred.eval_with(&mut |k| e.meta(k)))
+            .filter(|(_, e)| pred.eval_lookup(&mut |k| e.meta(k).cloned()))
             .map(|(i, _)| i)
             .collect();
         prop_assert_eq!(
@@ -297,49 +299,33 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// v2 (JSON payloads) and v3 (binary payloads) loads are bit-identical.
+// JSON (v1/v2) and TKP3 (v3) record payloads decode identically.
 
-use thicket_perfsim::ManifestVersion;
+use thicket_perfsim::binprofile::{decode_payload, encode_profile};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The same ensemble saved under v2 (JSON payloads) and v3 (binary
-    /// payloads) loads back bit-identically: every profile's canonical
-    /// JSON rendering — metadata, frames, edges, metrics — matches
-    /// byte for byte.
+    /// Both record-payload encodings a store can hold decode to the
+    /// same profile: for every profile, `decode_payload` of its JSON
+    /// text (v1/v2 stores) and of its `TKP3` bytes (v3) render to the
+    /// same canonical JSON — metadata, frames, edges, metrics — byte
+    /// for byte.
     #[test]
-    fn v2_and_v3_payloads_decode_bit_identically(
+    fn json_and_tkp3_payloads_decode_identically(
         seeds in proptest::collection::hash_set(0u64..32, 1..5),
     ) {
-        let mut seeds: Vec<u64> = seeds.into_iter().collect();
-        seeds.sort_unstable();
-        let profiles: Vec<_> = seeds
-            .iter()
-            .map(|&s| {
-                let mut cfg = CpuRunConfig::quartz_default();
-                cfg.seed = s;
-                simulate_cpu_run(&cfg)
-            })
-            .collect();
-        let tag: String = seeds.iter().map(|s| s.to_string()).collect::<Vec<_>>().join("-");
-        let mut dirs = Vec::new();
-        let mut rendered = Vec::new();
-        for (name, version) in [("v2", ManifestVersion::V2), ("v3", ManifestVersion::V3)] {
-            let dir = std::env::temp_dir().join(format!("thicket-storeprops-eq-{name}-{tag}"));
-            let _ = std::fs::remove_dir_all(&dir);
-            let opts = StoreOptions { format: version, ..StoreOptions::default() };
-            Store::save_opts(&dir, &profiles, &opts).unwrap();
-            let (loaded, report) = Store::open(&dir).unwrap().load_all().unwrap();
-            prop_assert!(report.is_clean(), "{name}: {report}");
-            rendered.push(
-                loaded.iter().map(|p| p.to_string_pretty()).collect::<Vec<_>>(),
+        for seed in seeds {
+            let mut cfg = CpuRunConfig::quartz_default();
+            cfg.seed = seed;
+            let profile = simulate_cpu_run(&cfg);
+            let from_json = decode_payload(profile.to_string_pretty().as_bytes()).unwrap();
+            let from_binary = decode_payload(&encode_profile(&profile)).unwrap();
+            prop_assert_eq!(
+                from_json.to_string_pretty(),
+                from_binary.to_string_pretty(),
+                "seed {}: JSON and TKP3 payloads diverge", seed
             );
-            dirs.push(dir);
-        }
-        prop_assert_eq!(&rendered[0], &rendered[1], "v2 and v3 loads diverge");
-        for d in dirs {
-            std::fs::remove_dir_all(d).ok();
         }
     }
 }
@@ -425,39 +411,5 @@ proptest! {
         want.sort_unstable();
         prop_assert_eq!(got, want);
         std::fs::remove_dir_all(dir).ok();
-    }
-}
-
-proptest! {
-    /// `MetaPred::to_expr` preserves semantics exactly: both engine
-    /// paths — vectorized columnar selection and the scalar lookup
-    /// walk — match the legacy `eval_with` row walk for arbitrary
-    /// predicate shapes.
-    #[test]
-    fn to_expr_preserves_metapred_semantics(pred in pred_strategy()) {
-        let (base, _) = base_store();
-        let reader = Store::open(base).unwrap();
-        let expr = pred.to_expr();
-
-        let by_engine = reader.select_expr(&expr).unwrap();
-        let legacy: Vec<usize> = reader
-            .entries()
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| pred.eval_with(&mut |k| e.meta(k)))
-            .map(|(i, _)| i)
-            .collect();
-        prop_assert_eq!(
-            by_engine, legacy,
-            "engine selection diverges from legacy for {}", pred
-        );
-
-        for e in reader.entries() {
-            prop_assert_eq!(
-                expr.eval_lookup(&mut |k| e.meta(k).cloned()),
-                pred.eval_with(&mut |k| e.meta(k)),
-                "scalar engine diverges from legacy for {}", pred
-            );
-        }
     }
 }

@@ -24,8 +24,23 @@ fn hash_set(ps: &[Profile]) -> std::collections::BTreeSet<i64> {
 }
 
 fn tmp(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("thicket-storerec-{name}"));
+    let dir = std::env::temp_dir().join(format!("thicket-storerec-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A fresh copy of a checked-in legacy store, so opening and
+/// compacting never touch the fixture itself.
+fn fixture(name: &str) -> std::path::PathBuf {
+    let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("crates/perfsim/tests/fixtures")
+        .join(name);
+    let dir = tmp(&format!("fixture-{name}"));
+    std::fs::create_dir_all(&dir).unwrap();
+    for f in std::fs::read_dir(&src).unwrap() {
+        let f = f.unwrap();
+        std::fs::copy(f.path(), dir.join(f.file_name())).unwrap();
+    }
     dir
 }
 
@@ -133,7 +148,7 @@ fn pushdown_reads_fewer_bytes_and_matches_filter_after_load() {
 
     let filtered = Store::open(&dir).unwrap();
     let (subset, report) = filtered
-        .load_matching(&MetaPred::lt("seed", 3i64))
+        .load_matching(&PredExpr::lt("seed", 3i64), 2)
         .unwrap();
     assert!(report.is_clean());
     assert_eq!(subset.len(), 3);
@@ -146,10 +161,10 @@ fn pushdown_reads_fewer_bytes_and_matches_filter_after_load() {
 
     // The pushdown thicket equals the filter-after-full-load thicket.
     let (tk_push, rep_push) = thicket::core::Thicket::loader(LoadSource::store(&dir))
-    .filter(MetaPred::lt("seed", 3i64))
-    .strictness(Strictness::lenient())
-    .load()
-    .unwrap();
+        .filter(PredExpr::lt("seed", 3i64))
+        .strictness(Strictness::lenient())
+        .load()
+        .unwrap();
     assert!(rep_push.is_clean(), "{rep_push}");
     let post: Vec<Profile> = all
         .into_iter()
@@ -192,11 +207,11 @@ fn corrupt_store_reports_identical_across_thread_counts() {
     inject(&dir, FaultKind::BitRot, 5).unwrap();
 
     let baseline_reader = Store::open(&dir).unwrap();
-    let (base_profiles, baseline) = baseline_reader.load_matching_threads(&MetaPred::True, 1).unwrap();
+    let (base_profiles, baseline) = baseline_reader.load_matching(&PredExpr::True, 1).unwrap();
     assert_eq!(baseline.dropped(), 1, "{baseline}");
     for threads in [2, 8] {
         let reader = Store::open(&dir).unwrap();
-        let (got_profiles, got) = reader.load_matching_threads(&MetaPred::True, threads).unwrap();
+        let (got_profiles, got) = reader.load_matching(&PredExpr::True, threads).unwrap();
         assert_eq!(baseline, got, "report differs at threads={threads}");
         assert_eq!(
             hash_set(&base_profiles),
@@ -300,48 +315,56 @@ fn compact_crash_point_matrix_never_loses_a_profile() {
     }
 }
 
-/// Older-format stores (v1 row manifests, v2 columnar manifests with
-/// JSON payloads) load unchanged through the unified loader, and
-/// `Store::compact` migrates each to the v3 binary-payload format with
-/// the same profiles and working pushdown.
+/// The checked-in older-format stores (v1 row manifests, v2 columnar
+/// manifests, both with JSON payloads) load unchanged through the
+/// unified loader, and `Store::compact` migrates each to the v3
+/// binary-payload format: v1, v2 and both compacted stores compose the
+/// same thicket, and pushdown selects the same profiles in all four.
 #[test]
 fn old_format_stores_load_unchanged_and_compact_migrates_to_v3() {
     use thicket_perfsim::ManifestVersion;
 
-    for old in [ManifestVersion::V1, ManifestVersion::V2] {
-        let dir = tmp(&format!("{old:?}-migrate"));
-        let profiles = runs(0..4);
-        let old_opts = StoreOptions {
-            format: old,
-            ..opts()
-        };
-        Store::save_opts(&dir, &profiles, &old_opts).unwrap();
+    let load = |dir: &std::path::Path, pred: Option<PredExpr>| {
+        let mut loader = thicket::core::Thicket::loader(LoadSource::store(dir))
+            .strictness(Strictness::lenient());
+        if let Some(pred) = pred {
+            loader = loader.filter(pred);
+        }
+        let (tk, report) = loader.load().unwrap();
+        assert!(report.is_clean(), "{report}");
+        tk
+    };
+    let pred = PredExpr::lt("seed", 2i64);
+    let mut thickets = Vec::new();
+    for (name, old) in [
+        ("store-v1", ManifestVersion::V1),
+        ("store-v2", ManifestVersion::V2),
+    ] {
+        let dir = fixture(name);
         assert_eq!(Store::open(&dir).unwrap().manifest().version, old);
 
         // The old format loads through the same unified front door,
         // pushdown included.
-        let (tk_old, report) = thicket::core::Thicket::loader(LoadSource::store(&dir))
-            .filter(MetaPred::lt("seed", 2i64))
-            .strictness(Strictness::lenient())
-            .load()
-            .unwrap();
-        assert!(report.is_clean(), "{report}");
-        assert_eq!(tk_old.profiles().len(), 2);
+        let tk_old = load(&dir, None);
+        assert_eq!(tk_old.profiles().len(), 4);
+        let push_old = load(&dir, Some(pred.clone()));
+        assert_eq!(push_old.profiles().len(), 2);
 
         let migrated = Store::compact(&dir).unwrap();
         assert_eq!(migrated.profiles, 4, "{old:?}");
-        let reader = Store::open(&dir).unwrap();
-        assert_eq!(reader.manifest().version, ManifestVersion::V3);
-
-        let (tk_v3, report) = thicket::core::Thicket::loader(LoadSource::store(&dir))
-            .filter(MetaPred::lt("seed", 2i64))
-            .strictness(Strictness::lenient())
-            .load()
-            .unwrap();
-        assert!(report.is_clean(), "{report}");
-        assert_eq!(tk_old.profiles(), tk_v3.profiles());
-        assert_eq!(tk_old.perf_data(), tk_v3.perf_data());
-        assert_eq!(tk_old.metadata(), tk_v3.metadata());
+        assert_eq!(
+            Store::open(&dir).unwrap().manifest().version,
+            ManifestVersion::V3
+        );
+        let tk_v3 = load(&dir, None);
+        let push_v3 = load(&dir, Some(pred.clone()));
+        assert_eq!(push_old.profiles(), push_v3.profiles());
+        thickets.extend([tk_old, tk_v3]);
         std::fs::remove_dir_all(dir).ok();
+    }
+    for tk in &thickets[1..] {
+        assert_eq!(tk.profiles(), thickets[0].profiles());
+        assert_eq!(tk.perf_data(), thickets[0].perf_data());
+        assert_eq!(tk.metadata(), thickets[0].metadata());
     }
 }
