@@ -17,13 +17,15 @@
 //! assert!(report.is_clean());
 //! ```
 //!
-//! Sources are in-memory profile slices, loose-JSON ensemble
-//! directories, sharded store directories, raw event traces, or any
-//! custom [`ProfileSource`] ([`LoadSource`]). Internally the loader
-//! consumes every source through the same pull-based chunk protocol
-//! ([`ProfileSource`]): the first chunk composes the thicket, every
-//! later chunk extends it, so a source larger than memory (a trace)
-//! streams through without ever materializing.
+//! Sources are in-memory profiles, loose-JSON ensemble directories,
+//! sharded store directories, raw event traces, or any custom
+//! [`ProfileSource`] ([`LoadSource`]). Profiles already in memory
+//! compose directly. Every other source is drained through the
+//! pull-based chunk protocol of [`ProfileSource`]: the first chunk
+//! composes the thicket, every later chunk extends it, so a source
+//! larger than memory (a trace) streams through without ever
+//! materializing. Store sources always read through a pinned snapshot,
+//! so a concurrent append, compaction, or GC can never tear the load.
 //!
 //! The same knobs apply to each source: [`Loader::threads`] pins the
 //! worker count (default: auto), [`Loader::strictness`] picks fail-fast
@@ -65,12 +67,10 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 use thicket_dataframe::{PredExpr, Value};
-use thicket_perfsim::{default_threads, Diagnostic, FilterPlan, IngestReport, Profile, Strictness};
+use thicket_perfsim::{default_threads, FilterPlan, IngestReport, Profile, Store, Strictness};
 
-use crate::source::{
-    profile_meta_keys, EnsembleSource, ProfileSource, StoreSource, TraceSource,
-};
-use crate::thicket::{Thicket, ThicketError, PROFILE_LEVEL};
+use crate::source::{profile_meta_keys, EnsembleSource, ProfileSource, StoreSource, TraceSource};
+use crate::thicket::{zero_profiles, Thicket, ThicketError, PROFILE_LEVEL};
 
 /// Where a [`Loader`] reads its profiles from.
 ///
@@ -92,7 +92,7 @@ pub enum LoadSource<'a> {
     /// ([`thicket_perfsim::ensemble`]).
     Ensemble(PathBuf),
     /// A sharded, checksummed store directory
-    /// ([`thicket_perfsim::store`]).
+    /// ([`thicket_perfsim::store`]), read through a pinned snapshot.
     Store(PathBuf),
     /// A raw event trace, streamed through a bounded-memory aggregator
     /// ([`crate::TraceAggregator`]) into per-rank (and per-window)
@@ -213,7 +213,6 @@ pub struct Loader<'a> {
     strictness: Strictness,
     filter: Option<PredExpr>,
     profile_ids: Option<&'a [Value]>,
-    pinned: bool,
 }
 
 impl Thicket {
@@ -230,7 +229,6 @@ impl Thicket {
             strictness: Strictness::FailFast,
             filter: None,
             profile_ids: None,
-            pinned: true,
         }
     }
 }
@@ -278,27 +276,16 @@ impl<'a> Loader<'a> {
         self
     }
 
-    /// Pin store reads (store sources only; default `true`): the load
-    /// opens a generation-pinned snapshot — shard handles held open, a
-    /// GC lease registered — so a concurrent append, compaction, or
-    /// garbage collection can never tear the read. Costs one lease
-    /// file write per load; pass `false` to read unpinned (safe when
-    /// nothing else writes the store).
-    pub fn pinned(mut self, pinned: bool) -> Self {
-        self.pinned = pinned;
-        self
-    }
-
     /// Run the load: read the source, apply the filter, compose the
     /// thicket. Returns the thicket plus an [`IngestReport`] covering
     /// both the read and the composition; the report is clean for
     /// fail-fast loads that return `Ok`.
     ///
-    /// Chunked sources (traces, [`StoreSource::chunk_size`], custom
-    /// sources) compose incrementally: the first chunk builds the
-    /// thicket, each later chunk is absorbed via `Thicket::extend` —
-    /// bit-identical to a whole-input build, but never holding more
-    /// than one chunk of source profiles.
+    /// Chunked sources (traces, custom sources) compose
+    /// incrementally: the first chunk builds the thicket, each later
+    /// chunk is absorbed via `Thicket::extend` — bit-identical to a
+    /// whole-input build, but never holding more than one chunk of
+    /// source profiles.
     pub fn load(self) -> Result<(Thicket, IngestReport), ThicketError> {
         let Loader {
             source,
@@ -306,72 +293,49 @@ impl<'a> Loader<'a> {
             strictness,
             filter,
             profile_ids,
-            pinned,
         } = self;
 
-        // An owned source is a borrowed source whose backing storage we
-        // carry ourselves: normalize it here so the zero-clone in-memory
-        // fast path below serves both shapes.
-        let owned_backing: Vec<Profile>;
-        let source = match source {
-            LoadSource::Owned(profiles) => {
-                owned_backing = profiles;
-                LoadSource::Profiles(&owned_backing)
-            }
-            other => other,
-        };
-
-        if profile_ids.is_some() && !matches!(source, LoadSource::Profiles(_)) {
-            return Err(ThicketError::Invalid(
-                "profile_ids applies only to in-memory profile sources; \
-                 ensemble, store, and trace loads index by profile hash"
-                    .into(),
-            ));
-        }
-
-        match source {
-            // Normalized away above; the compiler cannot see that.
-            LoadSource::Owned(_) => unreachable!("Owned normalized to Profiles"),
-
-            // In-memory fast path: no adapter, no clone for unfiltered
-            // loads — the borrowed slice composes directly.
+        let src: Box<dyn ProfileSource + 'a> = match source {
+            // In-memory profiles compose directly: no source, and no
+            // clone for unfiltered loads.
             LoadSource::Profiles(profiles) => {
-                load_in_memory(profiles, profile_ids, threads, strictness, filter)
+                return load_in_memory(profiles, profile_ids, threads, strictness, filter);
             }
-
-            LoadSource::Ensemble(dir) => load_streaming(
-                Box::new(EnsembleSource::new(&dir, threads, strictness)),
+            LoadSource::Owned(profiles) => {
+                return load_in_memory(&profiles, profile_ids, threads, strictness, filter);
+            }
+            _ if profile_ids.is_some() => {
+                return Err(ThicketError::Invalid(
+                    "profile_ids applies only to in-memory profile sources; \
+                     ensemble, store, and trace loads index by profile hash"
+                        .into(),
+                ));
+            }
+            LoadSource::Ensemble(dir) => Box::new(EnsembleSource::new(&dir, threads, strictness)),
+            LoadSource::Store(dir) => Box::new(StoreSource::from_snapshot(
+                Store::open_pinned(&dir)?,
                 threads,
                 strictness,
-                filter,
-            ),
-
-            LoadSource::Store(dir) => {
-                let src = StoreSource::open(&dir, pinned, threads, strictness)?;
-                load_streaming(Box::new(src), threads, strictness, filter)
-            }
-
+            )),
             LoadSource::Trace {
                 path,
                 window,
                 chunk_events,
             } => {
-                let mut src = TraceSource::open(&path, window, strictness)?;
-                if let Some(n) = chunk_events {
-                    src = src.chunk_events(n);
-                }
-                load_streaming(Box::new(src), threads, strictness, filter)
+                let src = TraceSource::open(&path, window, strictness)?;
+                Box::new(match chunk_events {
+                    Some(n) => src.chunk_events(n),
+                    None => src,
+                })
             }
-
-            LoadSource::Custom(src) => load_streaming(src, threads, strictness, filter),
-        }
+            LoadSource::Custom(src) => src,
+        };
+        load_streaming(src, threads, strictness, filter)
     }
 }
 
-/// The in-memory fast path: zero-clone composition of a borrowed slice
-/// when unfiltered, one filtered copy otherwise. Equivalent to driving
-/// a [`crate::SliceSource`] through [`load_streaming`], minus the
-/// defensive clone the trait's owned-chunk protocol requires.
+/// The in-memory path: zero-clone composition of a borrowed slice when
+/// unfiltered, one filtered copy otherwise.
 fn load_in_memory(
     profiles: &[Profile],
     profile_ids: Option<&[Value]>,
@@ -424,11 +388,11 @@ fn load_in_memory(
         None => Cow::Owned(hash_ids(&kept)),
     };
     let threads = threads.unwrap_or_else(|| default_threads(kept.len()));
-    let (tk, report) = compose(&kept, &ids, threads, strictness, None)?;
+    let (tk, report) = Thicket::build_indexed_threads(&kept, &ids, threads, strictness)?;
     finalize(tk, report, plan, &residual)
 }
 
-/// Drive any [`ProfileSource`] through the chunked build-then-extend
+/// Drive a [`ProfileSource`] through the chunked build-then-extend
 /// protocol: plan the filter against the source's metadata keys, pull
 /// chunks (applying the pushed predicate per chunk when the source
 /// declined it), compose the first chunk, extend with the rest, then
@@ -442,35 +406,18 @@ fn load_streaming(
     let mut plan: Option<FilterPlan> = None;
     let mut residual: Vec<PredExpr> = Vec::new();
     let mut chunk_pred: Option<PredExpr> = None;
-    let mut unplanned: Option<PredExpr> = None;
-
     if let Some(expr) = filter {
-        match src.meta_keys() {
-            Some(keys) => {
-                let (pushed, res, p) = plan_conjuncts(&expr, &keys);
-                plan = Some(p);
-                residual = res;
-                if !src.push_filter(&pushed) {
-                    chunk_pred = Some(pushed);
-                }
-            }
-            // The source cannot enumerate its keys up front: buffer
-            // every chunk, then plan against the materialized profiles.
-            None => unplanned = Some(expr),
+        let (pushed, res, p) = plan_conjuncts(&expr, &src.meta_keys()?);
+        plan = Some(p);
+        residual = res;
+        if !src.push_filter(&pushed) {
+            chunk_pred = Some(pushed);
         }
     }
 
     let mut tk: Option<Thicket> = None;
-    let mut attempted = 0usize;
-    let mut loaded = 0usize;
-    let mut diagnostics: Vec<Diagnostic> = Vec::new();
-    let mut buffered: Vec<Profile> = Vec::new();
-
+    let mut build_report = IngestReport::default();
     while let Some(mut chunk) = src.next_chunk()? {
-        if unplanned.is_some() {
-            buffered.append(&mut chunk);
-            continue;
-        }
         if let Some(pred) = &chunk_pred {
             chunk.retain(|p| expr_matches_profile(pred, p));
         }
@@ -481,10 +428,9 @@ fn load_streaming(
         let threads_n = threads.unwrap_or_else(|| default_threads(chunk.len()));
         match &mut tk {
             None => {
-                let (built, r) = compose(&chunk, &ids, threads_n, strictness, None)?;
-                attempted += r.attempted;
-                loaded += r.loaded;
-                diagnostics.extend(r.diagnostics);
+                let (built, r) =
+                    Thicket::build_indexed_threads(&chunk, &ids, threads_n, strictness)?;
+                build_report = r;
                 tk = Some(built);
             }
             Some(t) => {
@@ -492,56 +438,26 @@ fn load_streaming(
                 // lenient isolation lives in the read phase (source
                 // diagnostics) and the first-chunk build.
                 t.extend_threads(&chunk, &ids, threads_n)?;
-                attempted += chunk.len();
-                loaded += chunk.len();
+                build_report.attempted += chunk.len();
+                build_report.loaded += chunk.len();
             }
         }
     }
+    // Nothing loaded at all: fail-fast and lenient builds both refuse
+    // emptiness.
+    let tk = tk.ok_or_else(zero_profiles)?;
 
-    if let Some(expr) = unplanned {
-        let keys = profile_meta_keys(buffered.iter());
-        let (pushed, res, p) = plan_conjuncts(&expr, &keys);
-        plan = Some(p);
-        residual = res;
-        buffered.retain(|prof| expr_matches_profile(&pushed, prof));
-        let ids = hash_ids(&buffered);
-        let threads_n = threads.unwrap_or_else(|| default_threads(buffered.len()));
-        let (built, r) = compose(&buffered, &ids, threads_n, strictness, None)?;
-        attempted += r.attempted;
-        loaded += r.loaded;
-        diagnostics.extend(r.diagnostics);
-        tk = Some(built);
-    }
-
-    let read = src.take_report();
-    let build_report = IngestReport {
-        attempted,
-        loaded,
-        diagnostics,
-        pushdown: None,
+    // A trivial read report (no read phase of its own) means
+    // composition accounting stands alone — exactly the in-memory
+    // semantics. Otherwise chain read → compose.
+    let mut read = src.take_report();
+    let report = if read.attempted == 0 && read.diagnostics.is_empty() {
+        build_report
+    } else {
+        read.absorb(build_report);
+        read
     };
-    match tk {
-        Some(tk) => {
-            // A trivial read report (no read phase of its own) means
-            // composition accounting stands alone — exactly the classic
-            // in-memory semantics. Otherwise chain read → compose the
-            // way the two-phase loads always have.
-            let report = if read.attempted == 0 && read.diagnostics.is_empty() {
-                build_report
-            } else {
-                let mut read = read;
-                read.absorb(build_report);
-                read
-            };
-            finalize(tk, report, plan, &residual)
-        }
-        // Nothing loaded at all: surface the canonical zero-profile
-        // error (fail-fast and lenient builds both refuse emptiness).
-        None => {
-            compose(&[], &[], 1, strictness, Some(read))?;
-            unreachable!("composing zero profiles always errors")
-        }
-    }
+    finalize(tk, report, plan, &residual)
 }
 
 /// Record the pushdown plan and run residual conjuncts (exists-row
@@ -652,40 +568,4 @@ fn hash_ids(profiles: &[Profile]) -> Vec<Value> {
         .iter()
         .map(|p| Value::Int(p.profile_hash()))
         .collect()
-}
-
-/// Compose loaded profiles under the requested strictness, absorbing
-/// the read-phase report (if any) so `attempted` counts sources and
-/// `loaded` counts survivors of both phases.
-fn compose(
-    profiles: &[Profile],
-    ids: &[Value],
-    threads: usize,
-    strictness: Strictness,
-    read: Option<IngestReport>,
-) -> Result<(Thicket, IngestReport), ThicketError> {
-    let build = match strictness {
-        Strictness::FailFast => {
-            let tk = Thicket::build_indexed_threads(profiles, ids, threads)?;
-            (
-                tk,
-                IngestReport {
-                    attempted: profiles.len(),
-                    loaded: profiles.len(),
-                    diagnostics: Vec::new(),
-                    pushdown: None,
-                },
-            )
-        }
-        Strictness::Lenient { .. } => {
-            Thicket::build_indexed_lenient_threads(profiles, ids, threads)?
-        }
-    };
-    match read {
-        None => Ok(build),
-        Some(mut report) => {
-            report.absorb(build.1);
-            Ok((build.0, report))
-        }
-    }
 }

@@ -1,13 +1,12 @@
 //! The pull-based ingest abstraction behind [`Loader`](crate::Loader).
 //!
-//! [`ProfileSource`] is the one interface the loader consumes: a batched
-//! pull model (`next_chunk`) that a source fills from wherever its
-//! profiles live — an in-memory slice, a loose-JSON ensemble directory,
-//! a sharded store, or a raw event trace that never fits in memory. The
-//! legacy `LoadSource` variants are thin adapters over this trait
-//! ([`SliceSource`], [`OwnedSource`], [`EnsembleSource`],
-//! [`StoreSource`]); [`TraceSource`] is the streaming newcomer that
-//! motivated the redesign.
+//! [`ProfileSource`] is the one interface the loader's streaming path
+//! consumes: a batched pull model (`next_chunk`) that a source fills
+//! from wherever its profiles live — a loose-JSON ensemble directory
+//! ([`EnsembleSource`]), a pinned store snapshot ([`StoreSource`]), a
+//! raw event trace that never fits in memory ([`TraceSource`]), or a
+//! custom producer. Profiles already in memory skip the trait: the
+//! loader composes a borrowed or owned slice directly.
 //!
 //! The chunk protocol is what makes bounded-memory ingest possible: the
 //! loader composes the first chunk into a thicket and folds every later
@@ -24,8 +23,8 @@ use std::time::Duration;
 
 use thicket_dataframe::PredExpr;
 use thicket_perfsim::{
-    default_threads, load_dir, DiagKind, IngestReport, Profile, Snapshot, Store, StoreReader,
-    Strictness, TraceError, TraceReader,
+    default_threads, load_dir, DiagKind, IngestReport, Profile, Snapshot, Store, Strictness,
+    TraceError, TraceReader,
 };
 
 use crate::thicket::ThicketError;
@@ -37,8 +36,9 @@ use crate::trace_agg::TraceAggregator;
 /// The loader drives a source like this:
 ///
 /// 1. If a filter is set, it asks [`meta_keys`](ProfileSource::meta_keys)
-///    which fields the source can answer, splits the predicate there
-///    (planner pushdown), and offers the pushable part via
+///    which fields the source can answer (an error there fails the
+///    load), splits the predicate there (planner pushdown), and offers
+///    the pushable part via
 ///    [`push_filter`](ProfileSource::push_filter). A source that returns
 ///    `false` gets the filter applied by the loader on each chunk
 ///    instead.
@@ -56,11 +56,9 @@ pub trait ProfileSource {
     fn next_chunk(&mut self) -> Result<Option<Vec<Profile>>, ThicketError>;
 
     /// The metadata fields this source can answer predicates about,
-    /// for planner pushdown. `None` means unknown — the loader then
-    /// buffers every chunk and plans against the materialized profiles.
-    fn meta_keys(&mut self) -> Option<BTreeSet<String>> {
-        None
-    }
+    /// for planner pushdown. Called once, before the first chunk, and
+    /// only when the load has a filter.
+    fn meta_keys(&mut self) -> Result<BTreeSet<String>, ThicketError>;
 
     /// Offer the pushable predicate part to the source. Return `true`
     /// to claim it (subsequent chunks must already satisfy it); return
@@ -76,71 +74,6 @@ pub trait ProfileSource {
     /// stands alone, as it always has for in-memory loads.
     fn take_report(&mut self) -> IngestReport {
         IngestReport::default()
-    }
-}
-
-/// Adapter: borrowed in-memory profiles as a one-chunk source.
-///
-/// Yields a clone of the slice. The loader's in-memory fast path avoids
-/// this adapter (and the clone) entirely; it exists so borrowed slices
-/// can participate in generic [`ProfileSource`] plumbing and tests.
-pub struct SliceSource<'a> {
-    profiles: &'a [Profile],
-    done: bool,
-}
-
-impl<'a> SliceSource<'a> {
-    /// Wrap a borrowed slice.
-    pub fn new(profiles: &'a [Profile]) -> Self {
-        SliceSource {
-            profiles,
-            done: false,
-        }
-    }
-}
-
-impl ProfileSource for SliceSource<'_> {
-    fn next_chunk(&mut self) -> Result<Option<Vec<Profile>>, ThicketError> {
-        if self.done || self.profiles.is_empty() {
-            return Ok(None);
-        }
-        self.done = true;
-        Ok(Some(self.profiles.to_vec()))
-    }
-
-    fn meta_keys(&mut self) -> Option<BTreeSet<String>> {
-        Some(profile_meta_keys(self.profiles.iter()))
-    }
-}
-
-/// Adapter: owned in-memory profiles as a one-chunk source (no copy —
-/// the vector moves out on the first [`ProfileSource::next_chunk`]).
-pub struct OwnedSource {
-    profiles: Vec<Profile>,
-    done: bool,
-}
-
-impl OwnedSource {
-    /// Wrap an owned vector.
-    pub fn new(profiles: Vec<Profile>) -> Self {
-        OwnedSource {
-            profiles,
-            done: false,
-        }
-    }
-}
-
-impl ProfileSource for OwnedSource {
-    fn next_chunk(&mut self) -> Result<Option<Vec<Profile>>, ThicketError> {
-        if self.done || self.profiles.is_empty() {
-            return Ok(None);
-        }
-        self.done = true;
-        Ok(Some(std::mem::take(&mut self.profiles)))
-    }
-
-    fn meta_keys(&mut self) -> Option<BTreeSet<String>> {
-        Some(profile_meta_keys(self.profiles.iter()))
     }
 }
 
@@ -189,9 +122,9 @@ impl ProfileSource for EnsembleSource {
         Ok(Some(profiles))
     }
 
-    fn meta_keys(&mut self) -> Option<BTreeSet<String>> {
-        self.ensure_loaded().ok()?;
-        Some(profile_meta_keys(
+    fn meta_keys(&mut self) -> Result<BTreeSet<String>, ThicketError> {
+        self.ensure_loaded()?;
+        Ok(profile_meta_keys(
             self.loaded.as_ref().expect("just loaded").0.iter(),
         ))
     }
@@ -204,158 +137,82 @@ impl ProfileSource for EnsembleSource {
     }
 }
 
-/// How a [`StoreSource`] holds its reader: generation-pinned (lease +
-/// open shard handles) or a plain unpinned open.
-enum ReaderHold {
-    Pinned(Snapshot),
-    Open(StoreReader),
-}
-
-impl ReaderHold {
-    fn reader(&self) -> &StoreReader {
-        match self {
-            ReaderHold::Pinned(snap) => snap,
-            ReaderHold::Open(reader) => reader,
-        }
-    }
-}
-
-/// Adapter: a sharded store directory as a chunked source.
+/// Adapter: a pinned store snapshot as a one-chunk source.
 ///
-/// Selection (columnar manifest predicate evaluation) happens up front
-/// and without shard I/O; shard reads then proceed in index chunks. The
-/// default is a **single** chunk — identical I/O and threading to the
-/// pre-streaming loader — because a store load is already one
-/// memory-mapped pass; [`StoreSource::chunk_size`] opts into smaller
-/// batches. Strictness is enforced per chunk with the same messages and
-/// budgets as the classic store load path.
+/// The snapshot pins its generation (lease registered, shard handles
+/// held), so concurrent appends, compaction, or GC can never tear the
+/// read; dropping the source releases the pin. Selection (columnar
+/// manifest predicate evaluation) happens without shard I/O, then one
+/// pass reads the selected records. Strictness is enforced on that
+/// read: fail-fast turns any diagnostic into an error, lenient fails
+/// past its error budget.
 pub struct StoreSource {
-    hold: ReaderHold,
+    snap: Snapshot,
     threads: Option<usize>,
     strictness: Strictness,
-    chunk_size: Option<usize>,
     expr: Option<PredExpr>,
-    selected: Option<Vec<usize>>,
-    pos: usize,
+    done: bool,
     report: IngestReport,
 }
 
 impl StoreSource {
-    /// Open a store directory. `pinned` opens a generation-pinned
-    /// snapshot (lease registered, shard handles held) so concurrent
-    /// appends, compaction, or GC can never tear the read.
-    pub fn open(
-        dir: impl AsRef<Path>,
-        pinned: bool,
-        threads: Option<usize>,
-        strictness: Strictness,
-    ) -> Result<Self, ThicketError> {
-        let hold = if pinned {
-            ReaderHold::Pinned(Store::open_pinned(dir)?)
-        } else {
-            ReaderHold::Open(Store::open(dir)?)
-        };
-        Ok(StoreSource {
-            hold,
-            threads,
-            strictness,
-            chunk_size: None,
-            expr: None,
-            selected: None,
-            pos: 0,
-            report: IngestReport::default(),
-        })
-    }
-
-    /// Wrap an already-pinned snapshot — e.g. a server's per-request
-    /// pin — so the read goes through the same selection, chunking, and
-    /// strictness machinery as every other store load.
+    /// Wrap a pinned snapshot — the loader's own
+    /// [`Store::open_pinned`] or a server's per-request pin — so every
+    /// store read goes through the same selection and strictness
+    /// machinery.
     pub fn from_snapshot(
         snap: Snapshot,
         threads: Option<usize>,
         strictness: Strictness,
     ) -> StoreSource {
         StoreSource {
-            hold: ReaderHold::Pinned(snap),
+            snap,
             threads,
             strictness,
-            chunk_size: None,
             expr: None,
-            selected: None,
-            pos: 0,
+            done: false,
             report: IngestReport::default(),
         }
-    }
-
-    /// Read the selected indices in batches of `n` instead of one pass.
-    pub fn chunk_size(mut self, n: usize) -> Self {
-        self.chunk_size = Some(n.max(1));
-        self
-    }
-
-    fn ensure_selected(&mut self) -> Result<(), ThicketError> {
-        if self.selected.is_some() {
-            return Ok(());
-        }
-        let reader = self.hold.reader();
-        let selected = match &self.expr {
-            Some(expr) => reader.select_expr(expr)?,
-            None => (0..reader.manifest().profiles.len()).collect(),
-        };
-        self.selected = Some(selected);
-        Ok(())
     }
 }
 
 impl ProfileSource for StoreSource {
     fn next_chunk(&mut self) -> Result<Option<Vec<Profile>>, ThicketError> {
-        self.ensure_selected()?;
-        let selected = self.selected.as_ref().expect("just selected");
-        if self.pos >= selected.len() {
+        if self.done {
             return Ok(None);
         }
-        let end = match self.chunk_size {
-            Some(n) => (self.pos + n).min(selected.len()),
-            None => selected.len(),
+        self.done = true;
+        let total = self.snap.manifest().profiles.len();
+        let selected = match &self.expr {
+            Some(expr) => self.snap.select_expr(expr)?,
+            None => (0..total).collect(),
         };
-        let batch = &selected[self.pos..end];
-        let threads = self
-            .threads
-            .unwrap_or_else(|| default_threads(self.hold.reader().manifest().profiles.len()));
-        let (profiles, read) = self.hold.reader().load_indices(batch, threads)?;
-        self.pos = end;
+        let threads = self.threads.unwrap_or_else(|| default_threads(total));
+        let (profiles, read) = self.snap.load_indices(&selected, threads)?;
         if matches!(self.strictness, Strictness::FailFast) && !read.is_clean() {
             return Err(ThicketError::Invalid(format!(
                 "store load failed under fail-fast strictness ({})",
                 read.summary()
             )));
         }
-        self.report.attempted += read.attempted;
-        self.report.loaded += read.loaded;
-        self.report.diagnostics.extend(read.diagnostics);
         if let Strictness::Lenient { max_errors } = self.strictness {
-            if self.report.diagnostics.len() > max_errors {
+            if read.diagnostics.len() > max_errors {
                 return Err(ThicketError::Invalid(format!(
                     "store load exceeded the lenient error budget of {max_errors} ({})",
-                    self.report.summary()
+                    read.summary()
                 )));
             }
         }
-        if profiles.is_empty() {
-            // Every profile in this batch was dropped leniently; recurse
-            // into the next batch rather than returning an empty chunk.
-            return self.next_chunk();
-        }
-        Ok(Some(profiles))
+        self.report = read;
+        Ok((!profiles.is_empty()).then_some(profiles))
     }
 
-    fn meta_keys(&mut self) -> Option<BTreeSet<String>> {
-        Some(self.hold.reader().meta_keys())
+    fn meta_keys(&mut self) -> Result<BTreeSet<String>, ThicketError> {
+        Ok(self.snap.meta_keys())
     }
 
     fn push_filter(&mut self, expr: &PredExpr) -> bool {
         self.expr = Some(expr.clone());
-        self.selected = None;
         true
     }
 
@@ -497,8 +354,8 @@ impl<R: BufRead> ProfileSource for TraceSource<R> {
         }
     }
 
-    fn meta_keys(&mut self) -> Option<BTreeSet<String>> {
-        Some(self.meta_keys.clone())
+    fn meta_keys(&mut self) -> Result<BTreeSet<String>, ThicketError> {
+        Ok(self.meta_keys.clone())
     }
 
     fn take_report(&mut self) -> IngestReport {

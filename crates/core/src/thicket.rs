@@ -8,7 +8,7 @@ use thicket_dataframe::{
     Value,
 };
 use thicket_graph::{Graph, GraphUnion, NodeId};
-use thicket_perfsim::{IngestReport, Profile};
+use thicket_perfsim::{DiagKind, Diagnostic, IngestReport, JobFailure, Profile, Strictness};
 
 /// Name of the call-tree-node index level.
 pub(crate) const NODE_LEVEL: &str = "node";
@@ -86,99 +86,19 @@ pub struct Thicket {
 }
 
 impl Thicket {
-    /// Strict build engine behind [`crate::Loader`]: compose `profiles`
-    /// under caller-chosen index values on `threads` workers, failing
-    /// on the first unhealthy input. Bit-identical for any
-    /// `threads ≥ 1`.
+    /// Build engine behind [`crate::Loader`]: compose `profiles` under
+    /// caller-chosen index values on `threads` workers. Fail-fast errs
+    /// on the first unhealthy input; lenient drops unhealthy profiles
+    /// with typed diagnostics and errs only when none survives. The
+    /// thicket and report are bit-identical for any `threads ≥ 1`.
     pub(crate) fn build_indexed_threads(
         profiles: &[Profile],
         profile_ids: &[Value],
         threads: usize,
-    ) -> Result<Thicket, ThicketError> {
-        if profiles.is_empty() {
-            return Err(ThicketError::Invalid(
-                "cannot build a thicket from zero profiles".into(),
-            ));
-        }
-        if profiles.len() != profile_ids.len() {
-            return Err(ThicketError::Invalid(format!(
-                "{} profiles but {} profile ids",
-                profiles.len(),
-                profile_ids.len()
-            )));
-        }
-        {
-            let mut seen = std::collections::HashSet::new();
-            for id in profile_ids {
-                if !seen.insert(id) {
-                    return Err(ThicketError::Invalid(format!(
-                        "duplicate profile id {id}"
-                    )));
-                }
-            }
-        }
-
-        // Unify the call trees (the paper's call-tree matching).
-        let graphs: Vec<&Graph> = profiles.iter().map(|p| p.graph()).collect();
-        let union = GraphUnion::build(&graphs);
-
-        // Performance data: one row per (unified node, profile) that the
-        // profile actually measured. Distinct source nodes can merge into
-        // one unified node (duplicate sibling frames, as a call-tree
-        // profiler would have merged); their metrics are summed.
-        //
-        // Each worker assembles a typed per-profile column batch
-        // ([`ColumnFragments`]): index keys plus one `f64` fragment per
-        // metric it saw. The serial tail is then a single schema-union
-        // pass and per-column `Vec` concatenation (`merge_fragments`)
-        // instead of re-hashing every cell through a row builder — and
-        // stays bit-identical to the serial build for any `threads ≥ 1`.
-        let frags = profile_fragments(profiles, &union.mappings, profile_ids, threads)?;
-        let perf_data =
-            crate::order::sort_frame_by_index_threads(&merge_fragments(&frags)?, threads);
-
-        // Metadata: one row per profile.
-        let mut mb = FrameBuilder::new([PROFILE_LEVEL]);
-        for (profile, pid) in profiles.iter().zip(profile_ids.iter()) {
-            mb.push_row(
-                vec![pid.clone()],
-                profile
-                    .metadata_iter()
-                    .map(|(k, v)| (ColKey::new(k), v.clone())),
-            )?;
-        }
-        let metadata = mb.finish()?;
-
-        Ok(Thicket {
-            graph: union.graph,
-            perf_data,
-            metadata,
-            statsframe: DataFrame::new(Index::empty([NODE_LEVEL])),
-        })
-    }
-
-    /// Lenient build engine behind [`crate::Loader`]: unhealthy
-    /// profiles (duplicate ids, non-finite metrics, panicking assembly
-    /// workers) are dropped with typed diagnostics instead of failing
-    /// the build; errs only when no profile survives.
-    ///
-    /// Pre-validation runs serially in input order; row assembly fans
-    /// out with per-profile panic capture. A panicking profile is
-    /// dropped with a [`thicket_perfsim::DiagKind::WorkerPanic`]
-    /// diagnostic and the build retries on the surviving subset, so a
-    /// deterministic panic converges and the report is identical for
-    /// any `threads ≥ 1`.
-    pub(crate) fn build_indexed_lenient_threads(
-        profiles: &[Profile],
-        profile_ids: &[Value],
-        threads: usize,
+        strictness: Strictness,
     ) -> Result<(Thicket, IngestReport), ThicketError> {
-        use thicket_perfsim::{DiagKind, Diagnostic, JobFailure};
-
         if profiles.is_empty() {
-            return Err(ThicketError::Invalid(
-                "cannot build a thicket from zero profiles".into(),
-            ));
+            return Err(zero_profiles());
         }
         if profiles.len() != profile_ids.len() {
             return Err(ThicketError::Invalid(format!(
@@ -187,119 +107,17 @@ impl Thicket {
                 profile_ids.len()
             )));
         }
-
-        // Serial pre-validation, in input order.
-        let mut diagnostics: Vec<(usize, Diagnostic)> = Vec::new();
-        let mut healthy: Vec<usize> = Vec::new();
-        let mut seen: HashMap<&Value, usize> = HashMap::new();
-        for (i, id) in profile_ids.iter().enumerate() {
-            if let Some(&first) = seen.get(id) {
-                diagnostics.push((
-                    i,
-                    Diagnostic {
-                        source: format!("profile {id}"),
-                        kind: DiagKind::DuplicateProfile {
-                            first: format!("profile {}", profile_ids[first]),
-                        },
-                    },
-                ));
-                continue;
-            }
-            if let Some((node, metric)) = first_non_finite(&profiles[i]) {
-                diagnostics.push((
-                    i,
-                    Diagnostic {
-                        source: format!("profile {id}"),
-                        kind: DiagKind::NonFiniteMetric { node, metric },
-                    },
-                ));
-                continue;
-            }
-            seen.insert(id, i);
-            healthy.push(i);
-        }
-
-        // Panic-isolated assembly. Any failure drops that profile and
-        // retries on the survivors (the graph union must be rebuilt
-        // without the dropped profile's call tree).
-        loop {
-            if healthy.is_empty() {
-                let report: Vec<String> = diagnostics
-                    .iter()
-                    .map(|(_, d)| d.to_string())
-                    .collect();
-                return Err(ThicketError::Invalid(format!(
-                    "every profile was dropped: {}",
-                    report.join("; ")
-                )));
-            }
-            let graphs: Vec<&Graph> = healthy.iter().map(|&i| profiles[i].graph()).collect();
-            let union = GraphUnion::build(&graphs);
-            let items: Vec<(usize, &HashMap<NodeId, NodeId>)> = healthy
-                .iter()
-                .copied()
-                .zip(union.mappings.iter())
-                .collect();
-            let results = thicket_perfsim::parallel_map_catch(&items, threads, |(i, mapping)| {
-                assemble_fragment(&profiles[*i], mapping, &profile_ids[*i])
-            });
-
-            let mut frags: Vec<ColumnFragments> = Vec::with_capacity(items.len());
-            let mut kept: Vec<usize> = Vec::with_capacity(items.len());
-            for ((i, _), r) in items.iter().zip(results) {
-                let kind = match r {
-                    Ok(frag) => {
-                        frags.push(frag);
-                        kept.push(*i);
-                        continue;
-                    }
-                    Err(JobFailure::Error(df)) => {
-                        DiagKind::Schema(format!("row assembly failed: {df}"))
-                    }
-                    Err(JobFailure::Panic(m)) => DiagKind::WorkerPanic(m),
+        match strictness {
+            Strictness::FailFast => {
+                let tk = build_strict(profiles, profile_ids, threads)?;
+                let report = IngestReport {
+                    attempted: profiles.len(),
+                    loaded: profiles.len(),
+                    ..IngestReport::default()
                 };
-                diagnostics.push((
-                    *i,
-                    Diagnostic {
-                        source: format!("profile {}", profile_ids[*i]),
-                        kind,
-                    },
-                ));
+                Ok((tk, report))
             }
-            if kept.len() < healthy.len() {
-                healthy = kept;
-                continue;
-            }
-
-            let perf_data =
-                crate::order::sort_frame_by_index_threads(&merge_fragments(&frags)?, threads);
-            let mut mb = FrameBuilder::new([PROFILE_LEVEL]);
-            for &i in &healthy {
-                mb.push_row(
-                    vec![profile_ids[i].clone()],
-                    profiles[i]
-                        .metadata_iter()
-                        .map(|(k, v)| (ColKey::new(k), v.clone())),
-                )?;
-            }
-            let metadata = mb.finish()?;
-
-            diagnostics.sort_by_key(|(i, _)| *i);
-            let report = IngestReport {
-                attempted: profiles.len(),
-                loaded: healthy.len(),
-                diagnostics: diagnostics.into_iter().map(|(_, d)| d).collect(),
-                pushdown: None,
-            };
-            return Ok((
-                Thicket {
-                    graph: union.graph,
-                    perf_data,
-                    metadata,
-                    statsframe: DataFrame::new(Index::empty([NODE_LEVEL])),
-                },
-                report,
-            ));
+            Strictness::Lenient { .. } => build_lenient(profiles, profile_ids, threads),
         }
     }
 
@@ -523,6 +341,184 @@ impl Thicket {
     }
 }
 
+/// The canonical refusal of an empty input, shared by every load path.
+pub(crate) fn zero_profiles() -> ThicketError {
+    ThicketError::Invalid("cannot build a thicket from zero profiles".into())
+}
+
+/// Fail-fast build: any duplicate id or failing profile aborts it.
+/// Non-finite metric values are data, not faults, under fail-fast.
+fn build_strict(
+    profiles: &[Profile],
+    profile_ids: &[Value],
+    threads: usize,
+) -> Result<Thicket, ThicketError> {
+    let mut seen = std::collections::HashSet::new();
+    for id in profile_ids {
+        if !seen.insert(id) {
+            return Err(ThicketError::Invalid(format!("duplicate profile id {id}")));
+        }
+    }
+
+    // Unify the call trees (the paper's call-tree matching).
+    let graphs: Vec<&Graph> = profiles.iter().map(|p| p.graph()).collect();
+    let union = GraphUnion::build(&graphs);
+
+    // Performance data: one row per (unified node, profile) that the
+    // profile actually measured. Distinct source nodes can merge into
+    // one unified node (duplicate sibling frames, as a call-tree
+    // profiler would have merged); their metrics are summed.
+    //
+    // Each worker assembles a typed per-profile column batch
+    // ([`ColumnFragments`]): index keys plus one `f64` fragment per
+    // metric it saw. The serial tail is then a single schema-union
+    // pass and per-column `Vec` concatenation (`merge_fragments`)
+    // instead of re-hashing every cell through a row builder — and
+    // stays bit-identical to the serial build for any `threads ≥ 1`.
+    let frags = profile_fragments(profiles, &union.mappings, profile_ids, threads)?;
+    assemble(
+        union.graph,
+        &frags,
+        profiles.iter().zip(profile_ids),
+        threads,
+    )
+}
+
+/// Lenient build: unhealthy profiles (duplicate ids, non-finite
+/// metrics, panicking assembly workers) are dropped with typed
+/// diagnostics instead of failing the build.
+///
+/// Pre-validation runs serially in input order; row assembly fans out
+/// with per-profile panic capture. A panicking profile is dropped with
+/// a [`DiagKind::WorkerPanic`] diagnostic and the build retries on the
+/// surviving subset, so a deterministic panic converges and the report
+/// is identical for any `threads ≥ 1`.
+fn build_lenient(
+    profiles: &[Profile],
+    profile_ids: &[Value],
+    threads: usize,
+) -> Result<(Thicket, IngestReport), ThicketError> {
+    // Serial pre-validation, in input order.
+    let mut diagnostics: Vec<(usize, Diagnostic)> = Vec::new();
+    let mut healthy: Vec<usize> = Vec::new();
+    let mut seen: HashMap<&Value, usize> = HashMap::new();
+    for (i, id) in profile_ids.iter().enumerate() {
+        if let Some(&first) = seen.get(id) {
+            diagnostics.push((
+                i,
+                Diagnostic {
+                    source: format!("profile {id}"),
+                    kind: DiagKind::DuplicateProfile {
+                        first: format!("profile {}", profile_ids[first]),
+                    },
+                },
+            ));
+            continue;
+        }
+        if let Some((node, metric)) = first_non_finite(&profiles[i]) {
+            diagnostics.push((
+                i,
+                Diagnostic {
+                    source: format!("profile {id}"),
+                    kind: DiagKind::NonFiniteMetric { node, metric },
+                },
+            ));
+            continue;
+        }
+        seen.insert(id, i);
+        healthy.push(i);
+    }
+
+    // Panic-isolated assembly. Any failure drops that profile and
+    // retries on the survivors (the graph union must be rebuilt
+    // without the dropped profile's call tree).
+    loop {
+        if healthy.is_empty() {
+            let report: Vec<String> = diagnostics.iter().map(|(_, d)| d.to_string()).collect();
+            return Err(ThicketError::Invalid(format!(
+                "every profile was dropped: {}",
+                report.join("; ")
+            )));
+        }
+        let graphs: Vec<&Graph> = healthy.iter().map(|&i| profiles[i].graph()).collect();
+        let union = GraphUnion::build(&graphs);
+        let items: Vec<(usize, &HashMap<NodeId, NodeId>)> =
+            healthy.iter().copied().zip(union.mappings.iter()).collect();
+        let results = thicket_perfsim::parallel_map_catch(&items, threads, |(i, mapping)| {
+            assemble_fragment(&profiles[*i], mapping, &profile_ids[*i])
+        });
+
+        let mut frags: Vec<ColumnFragments> = Vec::with_capacity(items.len());
+        let mut kept: Vec<usize> = Vec::with_capacity(items.len());
+        for ((i, _), r) in items.iter().zip(results) {
+            let kind = match r {
+                Ok(frag) => {
+                    frags.push(frag);
+                    kept.push(*i);
+                    continue;
+                }
+                Err(JobFailure::Error(df)) => {
+                    DiagKind::Schema(format!("row assembly failed: {df}"))
+                }
+                Err(JobFailure::Panic(m)) => DiagKind::WorkerPanic(m),
+            };
+            diagnostics.push((
+                *i,
+                Diagnostic {
+                    source: format!("profile {}", profile_ids[*i]),
+                    kind,
+                },
+            ));
+        }
+        if kept.len() < healthy.len() {
+            healthy = kept;
+            continue;
+        }
+
+        let tk = assemble(
+            union.graph,
+            &frags,
+            healthy.iter().map(|&i| (&profiles[i], &profile_ids[i])),
+            threads,
+        )?;
+        diagnostics.sort_by_key(|(i, _)| *i);
+        let report = IngestReport {
+            attempted: profiles.len(),
+            loaded: healthy.len(),
+            diagnostics: diagnostics.into_iter().map(|(_, d)| d).collect(),
+            pushdown: None,
+        };
+        return Ok((tk, report));
+    }
+}
+
+/// The shared build tail: merge the per-profile fragments into the
+/// sorted performance frame, build the metadata frame (one row per
+/// surviving profile, in order) and wrap both around the unified graph.
+fn assemble<'p>(
+    graph: Graph,
+    frags: &[ColumnFragments],
+    survivors: impl Iterator<Item = (&'p Profile, &'p Value)>,
+    threads: usize,
+) -> Result<Thicket, ThicketError> {
+    let perf_data = crate::order::sort_frame_by_index_threads(&merge_fragments(frags)?, threads);
+    let mut mb = FrameBuilder::new([PROFILE_LEVEL]);
+    for (profile, pid) in survivors {
+        mb.push_row(
+            vec![pid.clone()],
+            profile
+                .metadata_iter()
+                .map(|(k, v)| (ColKey::new(k), v.clone())),
+        )?;
+    }
+    Ok(Thicket {
+        graph,
+        perf_data,
+        metadata: mb.finish()?,
+        statsframe: DataFrame::new(Index::empty([NODE_LEVEL])),
+    })
+}
+
 /// Collapse a worker failure from a concat/compose fan-out into a
 /// [`ThicketError`]: plain errors pass through, captured panics become
 /// [`ThicketError::Worker`] naming the input by position.
@@ -531,8 +527,8 @@ pub(crate) fn input_failure(
     what: &str,
 ) -> ThicketError {
     match e.failure {
-        thicket_perfsim::JobFailure::Error(inner) => inner,
-        thicket_perfsim::JobFailure::Panic(message) => ThicketError::Worker {
+        JobFailure::Error(inner) => inner,
+        JobFailure::Panic(message) => ThicketError::Worker {
             source: format!("{what} {}", e.index),
             message,
         },
@@ -652,8 +648,8 @@ pub(crate) fn profile_fragments(
         assemble_fragment(profile, mapping, pid)
     })
     .map_err(|e| match e.failure {
-        thicket_perfsim::JobFailure::Error(df) => ThicketError::Df(df),
-        thicket_perfsim::JobFailure::Panic(message) => ThicketError::Worker {
+        JobFailure::Error(df) => ThicketError::Df(df),
+        JobFailure::Panic(message) => ThicketError::Worker {
             source: format!("profile {}", profile_ids[e.index]),
             message,
         },
@@ -677,7 +673,6 @@ impl fmt::Display for Thicket {
 mod tests {
     use super::*;
     use thicket_graph::Frame;
-    use thicket_perfsim::Strictness;
 
     /// Loader-builder spellings of the historical constructors, so the
     /// tests read as tersely as the old API.

@@ -3,9 +3,14 @@
 //! applied after composition with exists-row semantics, with the split
 //! recorded in [`IngestReport::pushdown`].
 
-use thicket_core::{LoadSource, PredExpr, Thicket};
+mod common;
+
+use common::TempDir;
+use thicket_core::{LoadSource, PredExpr, Strictness, Thicket};
 use thicket_dataframe::ColKey;
-use thicket_perfsim::{simulate_cpu_run, Compiler, CpuRunConfig, Profile, Store};
+use thicket_perfsim::{
+    inject, simulate_cpu_run, Compiler, CpuRunConfig, FaultKind, Profile, Store, StoreOptions,
+};
 
 /// Six profiles: 2 compilers × 3 seeds, one problem size.
 fn sample_profiles() -> Vec<Profile> {
@@ -21,9 +26,9 @@ fn sample_profiles() -> Vec<Profile> {
     profiles
 }
 
-fn temp_store(tag: &str, profiles: &[Profile]) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("thicket-planner-{tag}"));
-    let _ = std::fs::remove_dir_all(&dir);
+/// A store of `profiles` in a fresh scratch directory (removed on drop).
+fn temp_store(tag: &str, profiles: &[Profile]) -> TempDir {
+    let dir = TempDir::new(tag);
     Store::save(&dir, profiles).unwrap();
     dir
 }
@@ -50,8 +55,6 @@ fn metadata_only_expr_fully_pushes_on_store() {
     assert!(plan.fully_pushed(), "no residual expected: {plan}");
     assert_eq!(plan.pushed.len(), 1);
     assert!(plan.pushed[0].contains("compiler"));
-
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
@@ -91,8 +94,6 @@ fn mixed_expr_splits_into_pushed_and_residual() {
         .0;
     assert_eq!(none.profiles().len(), 0);
     assert_eq!(none.perf_data().len(), 0);
-
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
@@ -132,7 +133,7 @@ fn residual_uses_exists_row_semantics() {
 }
 
 #[test]
-fn profile_source_expr_matches_metapred_filter() {
+fn pushed_filter_matches_prefiltered_profiles() {
     let profiles = sample_profiles();
     let (by_expr, report) = Thicket::loader(&profiles)
         .filter(PredExpr::eq("compiler", "xlc-16.1.1.12"))
@@ -161,8 +162,6 @@ fn dialect_predicate_flows_to_the_loader() {
         .unwrap();
     assert_eq!(tk.profiles().len(), 3);
     assert!(report.pushdown.is_some());
-
-    std::fs::remove_dir_all(dir).ok();
 }
 
 /// The owned-profiles source (the wire-client plumbing:
@@ -188,4 +187,58 @@ fn owned_source_matches_borrowed_source() {
     let via_from: LoadSource<'static> = profiles.into();
     let (tk, _) = Thicket::loader(via_from).load().unwrap();
     assert_eq!(tk.profiles().len(), 6);
+}
+
+/// A store read is one selection and one pass over the selected
+/// records. When every selected record is corrupt, a lenient load drops
+/// them all and refuses with the typed zero-profile error (no panic,
+/// no empty thicket); fail-fast refuses on the first diagnostic.
+#[test]
+fn corrupt_selection_is_refused_in_one_pass() {
+    let profiles = sample_profiles();
+    let dir = TempDir::new("bitrot");
+    // One record per shard, so rotting a shard corrupts one profile.
+    let opts = StoreOptions {
+        shard_bytes: 1,
+        ..StoreOptions::default()
+    };
+    Store::save_opts(&dir, &profiles, &opts).unwrap();
+    let pred = PredExpr::eq("compiler", "xlc-16.1.1.12");
+    {
+        let reader = Store::open(&dir).unwrap();
+        let selected = reader.select_expr(&pred).unwrap();
+        assert_eq!(selected.len(), 3);
+        for i in selected {
+            // Shard files sort by index, so the shard index picks it.
+            let shard = reader.manifest().profiles[i].shard;
+            let rotted = inject(&dir, FaultKind::BitRot, shard as u64).unwrap();
+            assert!(rotted.ends_with(&reader.manifest().shards[shard].file));
+        }
+    }
+
+    let err = Thicket::loader(LoadSource::store(&dir))
+        .strictness(Strictness::lenient())
+        .filter(pred.clone())
+        .load()
+        .unwrap_err();
+    assert!(err.to_string().contains("zero profiles"), "{err}");
+
+    let err = Thicket::loader(LoadSource::store(&dir))
+        .filter(pred)
+        .load()
+        .unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("store load failed under fail-fast strictness"),
+        "{err}"
+    );
+
+    // The healthy records still load leniently, with one diagnostic
+    // per rotted record.
+    let (tk, report) = Thicket::loader(LoadSource::store(&dir))
+        .strictness(Strictness::lenient())
+        .load()
+        .unwrap();
+    assert_eq!(tk.profiles().len(), 3);
+    assert_eq!(report.diagnostics.len(), 3, "{report}");
 }

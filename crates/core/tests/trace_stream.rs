@@ -5,33 +5,33 @@
 //! trace → store path must round-trip to the same thicket as a direct
 //! trace load.
 
-use std::path::PathBuf;
+mod common;
+
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use common::TempDir;
 use proptest::prelude::*;
-use thicket_core::{trace_to_store, LoadSource, OwnedSource, SliceSource, Thicket};
+use thicket_core::{
+    trace_to_store, LoadSource, PredExpr, ProfileSource, Thicket, ThicketError,
+};
 use thicket_perfsim::{
-    emit_trace_to_path, inject, simulate_cpu_run, FaultKind, Strictness, TraceConfig,
+    emit_trace_to_path, inject, simulate_cpu_run, FaultKind, Profile, Strictness, TraceConfig,
     TraceReader,
 };
 
-/// Fresh per-test scratch directory under the system temp dir.
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("thicket-trace-{tag}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Emit `cfg` into `<temp>/<tag>/run.trace` and return the path.
-fn emit_file(tag: &str, cfg: &TraceConfig) -> PathBuf {
-    let path = temp_dir(tag).join("run.trace");
+/// Emit `cfg` into `run.trace` in a fresh scratch directory; returns
+/// the directory (removed on drop) and the trace path.
+fn emit_file(tag: &str, cfg: &TraceConfig) -> (TempDir, PathBuf) {
+    let dir = TempDir::new(tag);
+    let path = dir.join("run.trace");
     emit_trace_to_path(cfg, &path).unwrap();
-    path
+    (dir, path)
 }
 
 /// Timestamp of the last event in the trace (for window sizing).
-fn trace_span_ns(path: &PathBuf) -> u64 {
+fn trace_span_ns(path: &Path) -> u64 {
     let mut reader = TraceReader::open(path).unwrap();
     let mut last = 0;
     loop {
@@ -46,7 +46,7 @@ fn trace_span_ns(path: &PathBuf) -> u64 {
 #[test]
 fn whole_trace_yields_one_profile_per_rank() {
     let cfg = TraceConfig::quartz(3, 2, 7);
-    let path = emit_file("whole", &cfg);
+    let (_dir, path) = emit_file("whole", &cfg);
     let (tk, report) = Thicket::loader(LoadSource::trace(&path)).load().unwrap();
     assert_eq!(tk.metadata().len(), 3, "one profile per rank");
     assert!(report.is_clean());
@@ -64,7 +64,7 @@ fn whole_trace_yields_one_profile_per_rank() {
 #[test]
 fn windowed_ingest_conserves_inclusive_time() {
     let cfg = TraceConfig::quartz(2, 3, 11);
-    let path = emit_file("windows", &cfg);
+    let (_dir, path) = emit_file("windows", &cfg);
     let span = trace_span_ns(&path);
     let window = Duration::from_nanos(span / 5);
 
@@ -105,11 +105,10 @@ fn windowed_ingest_conserves_inclusive_time() {
 #[test]
 fn trace_to_store_roundtrips_to_the_same_thicket() {
     let cfg = TraceConfig::quartz(2, 2, 23);
-    let path = emit_file("tostore", &cfg);
+    let (dir, path) = emit_file("tostore", &cfg);
     let span = trace_span_ns(&path);
     let window = Duration::from_nanos(span / 4);
-    let store_dir = temp_dir("tostore-store");
-    let _ = std::fs::remove_dir_all(&store_dir);
+    let store_dir = dir.join("store");
 
     let (report, written) =
         trace_to_store(&path, &store_dir, Some(window), Strictness::FailFast).unwrap();
@@ -125,31 +124,59 @@ fn trace_to_store_roundtrips_to_the_same_thicket() {
     assert_eq!(direct.metadata(), via_store.metadata());
 }
 
+/// A custom producer: hands out one profile per chunk and declines
+/// predicate pushdown (the trait default), so the loader must apply the
+/// pushed conjuncts to every chunk itself.
+struct OnePerChunk(std::vec::IntoIter<Profile>);
+
+impl ProfileSource for OnePerChunk {
+    fn next_chunk(&mut self) -> Result<Option<Vec<Profile>>, ThicketError> {
+        Ok(self.0.next().map(|p| vec![p]))
+    }
+
+    fn meta_keys(&mut self) -> Result<BTreeSet<String>, ThicketError> {
+        Ok(self
+            .0
+            .as_slice()
+            .iter()
+            .flat_map(|p| p.metadata_iter().map(|(k, _)| k.to_string()))
+            .collect())
+    }
+}
+
 #[test]
-fn custom_source_adapters_match_the_fast_path() {
-    let profiles: Vec<_> = (0..3u64)
+fn custom_source_declining_pushdown_matches_the_fast_path() {
+    let profiles: Vec<_> = (0..4u64)
         .map(|seed| {
             let mut cfg = thicket_perfsim::CpuRunConfig::quartz_default();
             cfg.seed = seed;
             simulate_cpu_run(&cfg)
         })
         .collect();
-    let (fast, _) = Thicket::loader(&profiles).load().unwrap();
-
-    let (via_slice, slice_report) =
-        Thicket::loader(LoadSource::custom(SliceSource::new(&profiles)))
+    // One metadata conjunct the planner pushes (and the source
+    // declines), one perf-frame conjunct left as the residual.
+    let filter = PredExpr::and([
+        PredExpr::ge("seed", 1i64),
+        PredExpr::gt("time (exc)", 0.0),
+    ]);
+    let (fast, fast_report) = Thicket::loader(&profiles)
+        .filter(filter.clone())
+        .load()
+        .unwrap();
+    let (custom, report) =
+        Thicket::loader(LoadSource::custom(OnePerChunk(profiles.clone().into_iter())))
+            .filter(filter)
             .load()
             .unwrap();
-    assert_eq!(fast.perf_data(), via_slice.perf_data());
-    assert_eq!(fast.metadata(), via_slice.metadata());
-    assert!(slice_report.is_clean());
 
-    let (via_owned, _) =
-        Thicket::loader(LoadSource::custom(OwnedSource::new(profiles.clone())))
-            .load()
-            .unwrap();
-    assert_eq!(fast.perf_data(), via_owned.perf_data());
-    assert_eq!(fast.metadata(), via_owned.metadata());
+    assert_eq!(fast.profiles().len(), 3, "seed 0 filtered out");
+    assert_eq!(fast.perf_data(), custom.perf_data());
+    assert_eq!(fast.metadata(), custom.metadata());
+    assert!(report.is_clean());
+    assert_eq!(report.loaded, fast_report.loaded);
+    let plan = report.pushdown.expect("filtered loads record a plan");
+    assert_eq!(Some(&plan), fast_report.pushdown.as_ref());
+    assert_eq!((plan.pushed.len(), plan.residual.len()), (1, 1), "{plan}");
 }
 
 // ---------------------------------------------------------------------
@@ -162,9 +189,8 @@ const LENIENT: Strictness = Strictness::Lenient { max_errors: 16 };
 #[test]
 fn torn_trace_keeps_closed_windows_and_reports() {
     let cfg = TraceConfig::quartz(2, 3, 5);
-    let path = emit_file("torn", &cfg);
+    let (dir, path) = emit_file("torn", &cfg);
     let span = trace_span_ns(&path);
-    let dir = path.parent().unwrap().to_path_buf();
     // Tear near the end of the stream (the injector indexes its victim
     // line by `seed % events`), so earlier windows have already closed.
     inject(&dir, FaultKind::TornTrace, cfg.events_total() - 2).unwrap();
@@ -199,8 +225,7 @@ fn torn_trace_keeps_closed_windows_and_reports() {
 #[test]
 fn shuffled_events_poison_one_rank_and_report() {
     let cfg = TraceConfig::quartz(3, 2, 6);
-    let path = emit_file("shuffled", &cfg);
-    let dir = path.parent().unwrap().to_path_buf();
+    let (dir, path) = emit_file("shuffled", &cfg);
     inject(&dir, FaultKind::ShuffledEvents, 77).unwrap();
 
     let err = Thicket::loader(LoadSource::trace(&path))
@@ -216,7 +241,7 @@ fn shuffled_events_poison_one_rank_and_report() {
         .load()
         .unwrap();
     assert!(tk.metadata().len() < 3, "the corrupted rank must be dropped");
-    assert!(tk.metadata().len() >= 1, "healthy ranks must survive");
+    assert!(!tk.metadata().is_empty(), "healthy ranks must survive");
     assert!(
         report.diagnostics.iter().any(|d| FaultKind::ShuffledEvents.matches(&d.kind)),
         "no out-of-order diagnostic in: {}",
@@ -228,8 +253,7 @@ fn shuffled_events_poison_one_rank_and_report() {
 #[test]
 fn unbalanced_trace_drops_the_open_rank_and_reports() {
     let cfg = TraceConfig::quartz(3, 2, 8);
-    let path = emit_file("unbalanced", &cfg);
-    let dir = path.parent().unwrap().to_path_buf();
+    let (dir, path) = emit_file("unbalanced", &cfg);
     inject(&dir, FaultKind::UnbalancedTrace, 13).unwrap();
 
     let err = Thicket::loader(LoadSource::trace(&path))
@@ -266,7 +290,7 @@ proptest! {
         chunk in 1usize..96,
     ) {
         let cfg = TraceConfig::quartz(2, 1, seed);
-        let path = emit_file(&format!("prop-{seed}-{chunk}"), &cfg);
+        let (_dir, path) = emit_file("prop", &cfg);
         let (whole, whole_report) =
             Thicket::loader(LoadSource::trace(&path)).load().unwrap();
         for threads in [1usize, 2, 8] {
@@ -300,8 +324,7 @@ proptest! {
     ) {
         let kind = FaultKind::TRACE[kind_idx];
         let cfg = TraceConfig::quartz(2, 1, seed);
-        let path = emit_file(&format!("fault-{seed}-{kind_idx}-{chunk}"), &cfg);
-        let dir = path.parent().unwrap().to_path_buf();
+        let (dir, path) = emit_file("fault", &cfg);
         inject(&dir, kind, seed).unwrap();
 
         prop_assert!(

@@ -340,7 +340,6 @@ fn pinned_loads_of_legacy_stores_release_their_lease() {
         assert!(leases(&dir).is_empty(), "{name}");
 
         let (tk, report) = Thicket::loader(LoadSource::store(&dir))
-            .pinned(true)
             .filter(PredExpr::ge("seed", 1i64))
             .load()
             .unwrap();

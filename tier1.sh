@@ -68,6 +68,6 @@ LEFTOVER=$(find "$SMOKE_DIR/store" -name 'pin-*' | wc -l)
 rm -rf "$SMOKE_DIR"
 # Benches must at least compile (they are not run here: tier-1 stays fast).
 cargo bench -p thicket-bench --no-run
-# All targets: library code AND tests/benches/bins lint-clean.
-cargo clippy --all-targets -- -D warnings
+# Every crate, all targets: library code AND tests/benches/bins lint-clean.
+cargo clippy --workspace --all-targets -- -D warnings
 echo "tier1: OK"
