@@ -60,7 +60,7 @@ pub use profile::{Profile, ProfileError};
 pub use backoff::Backoff;
 pub use store::{
     crc32c, AppendMode, CompactReport, FsckReport, Manifest, ManifestVersion, MetaBlock,
-    RecoverReport, Snapshot, Store, StoreEntry, StoreError, StoreOptions, StoreReader,
+    PinCache, RecoverReport, Snapshot, Store, StoreEntry, StoreError, StoreOptions, StoreReader,
     WriteReport,
 };
 pub use rajaperf::{

@@ -2,7 +2,9 @@
 // Directory naming, process liveness, and token generation.
 // ---------------------------------------------------------------------
 
+use std::fs::DirEntry;
 use std::io;
+use std::os::unix::fs::DirEntryExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -49,13 +51,22 @@ pub(crate) fn parse_pin_name(name: &str) -> Option<(u64, u32, u64)> {
     Some((gen, pid, u64::from_str_radix(token, 16).ok()?))
 }
 
+/// Is this entry a file (or a symlink to one)? The type comes from the
+/// directory listing itself, so only symlinks cost a `stat`.
+fn is_file(e: &DirEntry) -> io::Result<bool> {
+    let ty = e.file_type()?;
+    Ok(ty.is_file() || (ty.is_symlink() && e.path().is_file()))
+}
+
+/// Names of the files in `dir`, sorted.
 pub(crate) fn list_dir(dir: &Path) -> io::Result<Vec<String>> {
-    let mut names: Vec<String> = std::fs::read_dir(dir)?
-        .collect::<io::Result<Vec<_>>>()?
-        .into_iter()
-        .filter(|e| e.path().is_file())
-        .map(|e| e.file_name().to_string_lossy().into_owned())
-        .collect();
+    let mut names = Vec::new();
+    for e in std::fs::read_dir(dir)? {
+        let e = e?;
+        if is_file(&e)? {
+            names.push(e.file_name().to_string_lossy().into_owned());
+        }
+    }
     names.sort();
     Ok(names)
 }
@@ -68,6 +79,22 @@ pub(crate) fn list_generations(dir: &Path) -> io::Result<Vec<u64>> {
         .collect();
     gens.sort_unstable();
     Ok(gens)
+}
+
+/// The newest `MANIFEST-*` in `dir` as (generation, inode), from one
+/// listing; `None` when there is no manifest.
+pub(crate) fn newest_manifest_key(dir: &Path) -> io::Result<Option<(u64, u64)>> {
+    let mut newest: Option<(u64, u64)> = None;
+    for e in std::fs::read_dir(dir)? {
+        let e = e?;
+        let Some(gen) = e.file_name().to_str().and_then(parse_manifest_name) else {
+            continue;
+        };
+        if newest.is_none_or(|(g, _)| gen > g) && is_file(&e)? {
+            newest = Some((gen, e.ino()));
+        }
+    }
+    Ok(newest)
 }
 
 /// Is `pid` a live process on this machine?

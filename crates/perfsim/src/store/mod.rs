@@ -70,7 +70,9 @@
 //!   file keeps serving reads) and registers a lease file
 //!   (`pin-<gen>-<pid>-<token>`, heartbeat = mtime). GC skips
 //!   generations with a live lease and reaps leases whose owner died
-//!   or stopped heartbeating.
+//!   or stopped heartbeating. A [`PinCache`] reuses one parsed
+//!   generation across pins until the newest manifest changes; each
+//!   pin still takes its own lease.
 //!
 //! `fsync` placement: shard files and the manifest temp are synced
 //! before the commit rename; lock and lease files are not load-bearing
@@ -103,7 +105,7 @@ mod tests;
 
 pub use crc::crc32c;
 pub use manifest::{Manifest, MetaBlock, ShardInfo, StoreEntry};
-pub use reader::{Snapshot, StoreReader};
+pub use reader::{PinCache, Snapshot, StoreReader};
 
 use crate::ingest::{Diagnostic, IngestReport};
 use crate::profile::{Profile, ProfileError};
@@ -570,13 +572,14 @@ impl Store {
     /// [`StoreReader::pin`]).
     pub fn open(dir: impl AsRef<Path>) -> Result<StoreReader, StoreError> {
         let dir = dir.as_ref().to_path_buf();
-        if layout::list_generations(&dir)?.is_empty() {
+        let gens = layout::list_generations(&dir)?;
+        if gens.is_empty() {
             return Err(StoreError::NoGeneration(format!(
                 "no manifest in {}",
                 dir.display()
             )));
         }
-        match writer::newest_manifest(&dir)? {
+        match writer::newest_manifest(&dir, gens)? {
             // bytes_read starts at the manifest bytes consumed while
             // probing: pushdown accounting reflects true I/O, not just
             // shard payloads.

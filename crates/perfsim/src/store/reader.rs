@@ -3,7 +3,7 @@
 // ---------------------------------------------------------------------
 
 use super::crc::crc32c;
-use super::layout::manifest_name;
+use super::layout::{manifest_name, newest_manifest_key};
 use super::lease::{self, LeaseCore};
 use super::manifest::{Manifest, StoreEntry};
 use super::{Store, StoreError, StoreOptions, RECORD_HEADER_BYTES};
@@ -11,11 +11,13 @@ use crate::backoff::Backoff;
 use crate::ingest::{DiagKind, Diagnostic, IngestReport};
 use crate::parallel::{parallel_map_catch, JobFailure};
 use crate::profile::Profile;
+use parking_lot::Mutex;
 use std::cell::{Cell, OnceCell};
 use std::collections::BTreeSet;
 use std::fs::File;
-use std::io::{self, Read, Seek, SeekFrom};
+use std::io;
 use std::ops::Deref;
+use std::os::unix::fs::{FileExt, MetadataExt};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use thicket_dataframe::{BoundSource, PredExpr};
@@ -25,9 +27,13 @@ use thicket_dataframe::{BoundSource, PredExpr};
 /// All loads are lenient in the ingest sense: corrupt records surface
 /// as typed diagnostics in an [`IngestReport`], byte-identical for any
 /// worker-thread count, and the healthy subset is returned.
+///
+/// Cloning is cheap: a clone shares the parsed manifest and any held
+/// shard handles, and starts with `bytes_read() == 0` because it read
+/// nothing itself.
 pub struct StoreReader {
     dir: PathBuf,
-    manifest: Manifest,
+    manifest: Arc<Manifest>,
     /// Bytes read so far (manifest probing + shard headers, payloads,
     /// and magics), for pushdown accounting.
     bytes_read: Cell<u64>,
@@ -36,15 +42,29 @@ pub struct StoreReader {
     materialized: OnceCell<Vec<StoreEntry>>,
     /// Open handles on every shard file, in shard order — present once
     /// the reader is pinned. An unlinked-but-open file keeps serving
-    /// reads, so GC by any process cannot tear a pinned load.
-    handles: Option<Vec<File>>,
+    /// reads, so GC by any process cannot tear a pinned load. Reads go
+    /// through positional `pread`s, never the shared file offset, so
+    /// clones can read one handle set from many threads at once.
+    handles: Option<Arc<[File]>>,
+}
+
+impl Clone for StoreReader {
+    fn clone(&self) -> StoreReader {
+        StoreReader {
+            dir: self.dir.clone(),
+            manifest: Arc::clone(&self.manifest),
+            bytes_read: Cell::new(0),
+            materialized: OnceCell::new(),
+            handles: self.handles.clone(),
+        }
+    }
 }
 
 impl StoreReader {
     pub(crate) fn new(dir: PathBuf, manifest: Manifest, manifest_bytes: u64) -> StoreReader {
         StoreReader {
             dir,
-            manifest,
+            manifest: Arc::new(manifest),
             bytes_read: Cell::new(manifest_bytes),
             materialized: OnceCell::new(),
             handles: None,
@@ -75,32 +95,39 @@ impl StoreReader {
     /// wraps the open-pin-retry loop. On read-only media (where no
     /// lease file can be written, but no GC can run either) the
     /// snapshot degrades to handle-only pinning.
+    ///
+    /// A reader that already holds handles (a clone of a pinned
+    /// reader, or one kept by [`Snapshot::into_reader`]) only takes the
+    /// lease: its held handles already keep reads from tearing.
     pub fn pin_opts(mut self, opts: &StoreOptions) -> Result<Snapshot, StoreError> {
         let gen = self.manifest.generation;
         let lease = lease::acquire(&self.dir, gen, opts.lease_ttl)?;
-        let mut handles = Vec::with_capacity(self.manifest.shards.len());
-        for info in &self.manifest.shards {
-            match File::open(self.dir.join(&info.file)) {
-                Ok(f) => handles.push(f),
-                Err(e) => {
-                    return Err(StoreError::NoGeneration(format!(
-                        "generation {gen} was collected while pinning ({}: {e}); \
-                         reopen and retry",
-                        info.file
-                    )));
+        if self.handles.is_none() {
+            let mut handles = Vec::with_capacity(self.manifest.shards.len());
+            for info in &self.manifest.shards {
+                match File::open(self.dir.join(&info.file)) {
+                    Ok(f) => handles.push(f),
+                    Err(e) => {
+                        return Err(StoreError::NoGeneration(format!(
+                            "generation {gen} was collected while pinning ({}: {e}); \
+                             reopen and retry",
+                            info.file
+                        )));
+                    }
                 }
             }
+            // The manifest itself must still exist *after* the lease
+            // and handles are in place — if it does, either GC saw our
+            // lease (generation protected) or GC already passed
+            // (handles protect us); if it does not, we raced a
+            // collection and must retry.
+            if !self.dir.join(manifest_name(gen)).exists() {
+                return Err(StoreError::NoGeneration(format!(
+                    "generation {gen} was collected while pinning; reopen and retry"
+                )));
+            }
+            self.handles = Some(handles.into());
         }
-        // The manifest itself must still exist *after* the lease and
-        // handles are in place — if it does, either GC saw our lease
-        // (generation protected) or GC already passed (handles protect
-        // us); if it does not, we raced a collection and must retry.
-        if !self.dir.join(manifest_name(gen)).exists() {
-            return Err(StoreError::NoGeneration(format!(
-                "generation {gen} was collected while pinning; reopen and retry"
-            )));
-        }
-        self.handles = Some(handles);
         Ok(Snapshot {
             reader: self,
             lease,
@@ -280,9 +307,9 @@ impl StoreReader {
     ///
     /// Dense selections (members cover at least half the shard's bytes)
     /// read the whole file once and hand every record an `Arc` slice of
-    /// that buffer; sparse selections seek to each record's frame so
-    /// skipped records cost no I/O. `bytes_read` reflects whichever
-    /// actually happened.
+    /// that buffer; sparse selections read each record's frame at its
+    /// offset so skipped records cost no I/O. `bytes_read` reflects
+    /// whichever actually happened.
     fn read_shard_members(
         &self,
         si: usize,
@@ -297,10 +324,10 @@ impl StoreReader {
         if member_frame_bytes.saturating_mul(2) >= info.bytes {
             return self.read_shard_bulk(si, members, out);
         }
-        // A pinned reader seeks on its held handle (`impl Seek/Read for
-        // &File`), so reads survive the file being unlinked underneath.
+        // A pinned reader reads its held handle, so reads survive the
+        // file being unlinked underneath.
         let owned;
-        let mut file: &File = match self.handles.as_ref().map(|hs| &hs[si]) {
+        let file: &File = match self.handles.as_ref().map(|hs| &hs[si]) {
             Some(f) => f,
             None => match File::open(self.dir.join(&info.file)) {
                 Ok(f) => {
@@ -317,9 +344,7 @@ impl StoreReader {
         for &i in members {
             let record = self.read_frame(i, file_len, |start, len| {
                 let mut frame = vec![0u8; len];
-                let read = file
-                    .seek(SeekFrom::Start(start))
-                    .and_then(|_| file.read_exact(&mut frame));
+                let read = file.read_exact_at(&mut frame, start);
                 self.bytes_read.set(self.bytes_read.get() + len as u64);
                 read.map(|()| (Arc::new(frame), 0))
             });
@@ -329,8 +354,8 @@ impl StoreReader {
     }
 
     /// Dense-selection counterpart of [`Self::read_shard_members`]: one
-    /// `fs::read` for the whole shard, then every member's frame is
-    /// verified against a shared `Arc` of that buffer. No seeks, no
+    /// read of the whole shard, then every member's frame is verified
+    /// against a shared `Arc` of that buffer. No per-record I/O, no
     /// per-record allocation.
     fn read_shard_bulk(
         &self,
@@ -340,11 +365,11 @@ impl StoreReader {
     ) -> Result<(), StoreError> {
         let info = &self.manifest.shards[si];
         let whole = match self.handles.as_ref().map(|hs| &hs[si]) {
-            // Pinned: rewind the held handle and drain it — works even
+            // Pinned: read the held handle from offset 0 — works even
             // after the file is unlinked.
-            Some(mut f) => f.seek(SeekFrom::Start(0)).and_then(|_| {
-                let mut buf = Vec::with_capacity(info.bytes as usize);
-                f.read_to_end(&mut buf).map(|_| buf)
+            Some(f) => f.metadata().and_then(|m| {
+                let mut buf = vec![0u8; m.len() as usize];
+                f.read_exact_at(&mut buf, 0).map(|()| buf)
             }),
             None => std::fs::read(self.dir.join(&info.file)),
         };
@@ -377,7 +402,7 @@ impl StoreReader {
     ///    oversized read → [`DiagKind::TornShard`].
     /// 2. **Fetch.** `fetch(frame_start, frame_len)` yields a buffer
     ///    and the frame's start within it (`[u32 len][u32 crc][payload]`)
-    ///    — a fresh read on the seek path, the shared whole-shard
+    ///    — a fresh read on the sparse path, the shared whole-shard
     ///    buffer on the dense path. An I/O error → [`DiagKind::Io`].
     /// 3. **Header and payload CRC.** The framed length and CRC must
     ///    match the manifest entry, and the payload must hash to it →
@@ -441,7 +466,7 @@ fn shard_unreadable(file: &str, members: &[usize], e: &io::Error, out: &mut Reco
 pub(crate) type Records = Vec<(usize, Result<PayloadSlice, Diagnostic>)>;
 
 /// A record payload: a range of either its own frame buffer (sparse
-/// seek reads) or a whole-shard read shared by every record in the
+/// positional reads) or a whole-shard read shared by every record in the
 /// shard (dense bulk reads). Decoders borrow the slice either way —
 /// nothing is copied between disk and the parser.
 pub(crate) struct PayloadSlice {
@@ -551,4 +576,87 @@ pub(crate) fn open_pinned(dir: &Path, opts: &StoreOptions) -> Result<Snapshot, S
         }
     }
     Err(last.expect("32 attempts recorded an error"))
+}
+
+// ---------------------------------------------------------------------
+// Pin cache: one manifest parse per generation.
+// ---------------------------------------------------------------------
+
+/// Pins the newest generation of one store directory, parsing each
+/// generation's manifest once instead of once per pin — the
+/// per-request pin of a long-running server.
+///
+/// Every [`PinCache::pin`] lists the directory once (no per-entry
+/// `stat`) for the newest `MANIFEST-*` name and its inode. While that
+/// key is unchanged, the pin clones the cached reader — sharing its
+/// parsed manifest and open shard handles — and only takes a lease.
+/// When the key changes (a commit, a [`Store::recover`] rollback, a
+/// store deleted and re-saved under the same generation number), the
+/// pin runs [`Store::open_pinned`] and caches an unleased clone of what
+/// it opened — but only when the generation it served is the newest
+/// name it saw, so a broken newest manifest costs a full open every
+/// time and is never papered over by a stale entry.
+///
+/// The cache holds **no lease** between pins: each snapshot takes its
+/// own, and in-process snapshots of one generation share one lease file
+/// through the lease registry. Once every snapshot is dropped no `pin-*`
+/// file remains, and GC may collect the cached generation's files; the
+/// cached handles keep them readable, but the cache serves them only
+/// while their manifest is still the newest name.
+pub struct PinCache {
+    dir: PathBuf,
+    slot: Mutex<Option<CachedGeneration>>,
+}
+
+/// A parsed generation, keyed by its manifest's (generation, inode).
+struct CachedGeneration {
+    key: (u64, u64),
+    reader: StoreReader,
+    /// An open handle on the keyed manifest: while it is open no other
+    /// file can be given its inode number, so a re-saved store can never
+    /// reproduce the key.
+    _manifest: File,
+}
+
+impl PinCache {
+    /// A cache over the store at `dir`; nothing is read until the
+    /// first [`PinCache::pin`].
+    pub fn new(dir: impl Into<PathBuf>) -> PinCache {
+        PinCache {
+            dir: dir.into(),
+            slot: Mutex::new(None),
+        }
+    }
+
+    /// Pin the newest generation: a lease on the cached parse when the
+    /// newest manifest is unchanged, [`Store::open_pinned`] otherwise.
+    pub fn pin(&self) -> Result<Snapshot, StoreError> {
+        let newest = newest_manifest_key(&self.dir)?;
+        let mut slot = self.slot.lock();
+        if let Some(cached) = slot.as_ref().filter(|c| Some(c.key) == newest) {
+            let reader = cached.reader.clone();
+            drop(slot);
+            return reader.pin();
+        }
+        // Held across the open, so concurrent pins that missed together
+        // wait for this parse instead of repeating it.
+        let snap = Store::open_pinned(&self.dir);
+        *slot = match (&snap, newest) {
+            (Ok(s), Some(key)) if s.generation() == key.0 => {
+                self.hold_manifest(key).map(|manifest| CachedGeneration {
+                    key,
+                    reader: StoreReader::clone(s),
+                    _manifest: manifest,
+                })
+            }
+            _ => None,
+        };
+        snap
+    }
+
+    /// Open the manifest the key names, if it is still that inode.
+    fn hold_manifest(&self, (gen, ino): (u64, u64)) -> Option<File> {
+        let f = File::open(self.dir.join(manifest_name(gen))).ok()?;
+        (f.metadata().ok()?.ino() == ino).then_some(f)
+    }
 }

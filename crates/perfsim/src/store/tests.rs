@@ -193,7 +193,7 @@ fn bytes_read_is_exact_frame_accounting() {
     assert_eq!(filtered.bytes_read(), manifest_bytes + selected_shard);
     std::fs::remove_dir_all(dir).ok();
 
-    // Pushdown inside a multi-record shard takes the sparse seek
+    // Pushdown inside a multi-record shard takes the sparse
     // path: the charge is exactly the selected record's frame
     // (header + payload), derived from the layout constant.
     let dir = tmp("bytes-exact-sparse");
@@ -808,5 +808,139 @@ fn injected_crash_leaves_stale_lock_not_live_lock() {
         "takeover waited out a timeout"
     );
     assert!(Store::fsck(&dir).unwrap().is_clean());
+    std::fs::remove_dir_all(dir).ok();
+}
+
+fn pin_files(dir: &Path) -> usize {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .filter(|e| e.file_name().to_string_lossy().starts_with("pin-"))
+        .count()
+}
+
+/// Pin through the cache and load everything: (generation, whether the
+/// pin re-parsed a manifest, loaded hashes).
+fn cache_load(cache: &PinCache) -> (u64, bool, Vec<i64>) {
+    let snap = cache.pin().unwrap();
+    let parsed = snap.bytes_read() > 0;
+    let (loaded, rep) = snap.load_all().unwrap();
+    assert!(rep.is_clean(), "{rep}");
+    (snap.generation(), parsed, hashes(&loaded))
+}
+
+#[test]
+fn pin_cache_reuses_the_parse_until_the_newest_manifest_changes() {
+    let dir = tmp("pin-cache");
+    let all = runs(6);
+    Store::save(&dir, &all[..4]).unwrap();
+    let cache = PinCache::new(&dir);
+
+    // First pin parses; repeats of an unchanged store reuse the parse
+    // (a cached pin has read nothing before its first load).
+    assert_eq!(cache_load(&cache), (1, true, hashes(&all[..4])));
+    for _ in 0..3 {
+        assert_eq!(cache_load(&cache), (1, false, hashes(&all[..4])));
+    }
+
+    // Append and compact each commit a newer manifest: the next pin
+    // re-parses and serves it, the one after is cached again.
+    Store::append(&dir, &all[4..5]).unwrap();
+    assert_eq!(cache_load(&cache), (2, true, hashes(&all[..5])));
+    assert_eq!(cache_load(&cache), (2, false, hashes(&all[..5])));
+    Store::compact(&dir).unwrap();
+    assert_eq!(cache_load(&cache), (3, true, hashes(&all[..5])));
+    assert_eq!(cache_load(&cache), (3, false, hashes(&all[..5])));
+
+    // A newest manifest that does not verify is never cached: every pin
+    // pays a full open and serves the newest verifiable generation.
+    std::fs::write(dir.join(manifest_name(4)), b"TKM1 not a manifest").unwrap();
+    for _ in 0..2 {
+        assert_eq!(cache_load(&cache), (3, true, hashes(&all[..5])));
+    }
+    std::fs::remove_file(dir.join(manifest_name(4))).unwrap();
+
+    // Recover rollback: damage a record of generation 3's compacted
+    // shard, recover drops the generation, and the next pin serves
+    // generation 2 even though generation 3 was cached.
+    assert_eq!(cache_load(&cache), (3, true, hashes(&all[..5])));
+    let shard = dir.join(shard_name(3, 0));
+    let mut bytes = std::fs::read(&shard).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xff;
+    std::fs::write(&shard, bytes).unwrap();
+    let rec = Store::recover(&dir).unwrap();
+    assert_eq!(rec.generation, 2, "{:?}", rec.removed);
+    assert_eq!(cache_load(&cache), (2, true, hashes(&all[..5])));
+    assert_eq!(cache_load(&cache), (2, false, hashes(&all[..5])));
+
+    // The cache holds no lease between pins.
+    assert_eq!(pin_files(&dir), 0, "a lease outlived its snapshots");
+    let a = cache.pin().unwrap();
+    let b = cache.pin().unwrap();
+    assert_eq!(a.lease_file(), b.lease_file(), "one shared lease file");
+    assert_eq!(pin_files(&dir), 1);
+    drop((a, b));
+    assert_eq!(pin_files(&dir), 0, "last snapshot did not release the lease");
+    assert!(Store::fsck(&dir).unwrap().is_clean());
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn pin_cache_detects_a_store_deleted_and_resaved_at_generation_one() {
+    let dir = tmp("pin-cache-resave");
+    let all = runs(7);
+    Store::save(&dir, &all[..3]).unwrap();
+    let cache = PinCache::new(&dir);
+    assert_eq!(cache_load(&cache), (1, true, hashes(&all[..3])));
+    assert_eq!(cache_load(&cache), (1, false, hashes(&all[..3])));
+
+    // Same directory, same generation number, different contents.
+    std::fs::remove_dir_all(&dir).unwrap();
+    Store::save(&dir, &all[3..]).unwrap();
+    assert_eq!(cache_load(&cache), (1, true, hashes(&all[3..])));
+    assert_eq!(cache_load(&cache), (1, false, hashes(&all[3..])));
+
+    // A deleted store is an error, not a stale serve.
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(cache.pin().is_err());
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// Clones of one pinned reader share its shard handles; sparse
+/// (per-record) and dense (whole-shard) loads running at once must not
+/// race on a file offset.
+#[test]
+fn clones_of_one_pinned_reader_load_concurrently() {
+    let dir = tmp("pin-clones");
+    let profiles = runs(8);
+    Store::save(&dir, &profiles).unwrap();
+    let snap = Store::open_pinned(&dir).unwrap();
+    let sparse_sel = snap.select_expr(&PredExpr::eq("seed", 3i64)).unwrap();
+    let dense_sel: Vec<usize> = (0..profiles.len()).collect();
+    assert_eq!(snap.manifest().shards.len(), 1, "one shared shard");
+    assert_eq!(sparse_sel.len(), 1);
+
+    let encode = |ps: &[Profile]| -> Vec<Vec<u8>> {
+        ps.iter().map(crate::binprofile::encode_profile).collect()
+    };
+    let reference = |sel: &[usize]| encode(&snap.load_indices(sel, 1).unwrap().0);
+    let (sparse_ref, dense_ref) = (reference(&sparse_sel), reference(&dense_sel));
+    let before = snap.bytes_read();
+
+    std::thread::scope(|s| {
+        for (sel, want) in [(&sparse_sel, &sparse_ref), (&dense_sel, &dense_ref)] {
+            let reader = StoreReader::clone(&snap);
+            s.spawn(move || {
+                for _ in 0..200 {
+                    let (loaded, rep) = reader.load_indices(sel, 1).unwrap();
+                    assert!(rep.is_clean(), "{rep}");
+                    assert!(encode(&loaded) == *want, "a concurrent load changed bytes");
+                }
+            });
+        }
+    });
+    // Each clone counts its own reads.
+    assert_eq!(snap.bytes_read(), before);
     std::fs::remove_dir_all(dir).ok();
 }

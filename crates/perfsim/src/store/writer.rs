@@ -242,14 +242,16 @@ fn gc_generations(
 /// is only legal when a newer generation just committed, so on a
 /// vanished read the listing is retried (bounded; each retry means
 /// another writer made progress, and the newest manifest is never
-/// deleted).
-pub(crate) fn newest_manifest(dir: &Path) -> Result<Option<(Manifest, u64)>, StoreError> {
+/// deleted). `gens` is the caller's first listing, ascending as
+/// [`list_generations`] returns it.
+pub(crate) fn newest_manifest(
+    dir: &Path,
+    mut gens: Vec<u64>,
+) -> Result<Option<(Manifest, u64)>, StoreError> {
     let mut bytes_total = 0u64;
     for _pass in 0..16 {
-        let mut gens = list_generations(dir)?;
-        gens.reverse();
         let mut vanished = false;
-        for gen in gens {
+        for &gen in gens.iter().rev() {
             let bytes = match std::fs::read(dir.join(manifest_name(gen))) {
                 Ok(b) => b,
                 Err(e) if e.kind() == io::ErrorKind::NotFound => {
@@ -268,6 +270,7 @@ pub(crate) fn newest_manifest(dir: &Path) -> Result<Option<(Manifest, u64)>, Sto
         if !vanished {
             return Ok(None);
         }
+        gens = list_generations(dir)?;
     }
     Ok(None)
 }
@@ -334,7 +337,7 @@ pub(crate) fn append_locked(
     staged: &[Staged],
     opts: &StoreOptions,
 ) -> Result<WriteReport, StoreError> {
-    let base = newest_manifest(dir)?;
+    let base = newest_manifest(dir, list_generations(dir)?)?;
     if let Some(expected) = opts.expected_generation {
         let found = base.as_ref().map(|(m, _)| m.generation).unwrap_or(0);
         if found != expected {

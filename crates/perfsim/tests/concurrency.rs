@@ -19,8 +19,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use thicket_perfsim::{
-    contend, simulate_cpu_run, ChaosOp, ChaosSchedule, ContendTask, CpuRunConfig, Profile, Store,
-    StoreError, StoreOptions,
+    contend, simulate_cpu_run, ChaosOp, ChaosSchedule, ContendTask, CpuRunConfig, PinCache,
+    Profile, Snapshot, Store, StoreError, StoreOptions,
 };
 
 fn tmp(name: &str) -> PathBuf {
@@ -62,14 +62,16 @@ fn assert_contiguous_prefix(profiles: &[Profile], floor: usize) -> usize {
     s.len()
 }
 
-/// The acceptance matrix: 8 reader threads loop pinned loads while an
-/// appender commits 30 generations and a compactor ~25 more, all at
+/// The acceptance matrix: 8 reader threads loop pinned loads, and 4
+/// more loop pins through one shared [`PinCache`], while an appender
+/// commits 30 generations and a compactor ~25 more, all at
 /// `keep_generations: 0` — the most hostile GC setting. Zero torn
 /// reads, zero `NoGeneration` errors, and the final store holds every
 /// appended profile.
 #[test]
 fn readers_never_tear_under_append_and_compact() {
     const READERS: usize = 8;
+    const CACHED_READERS: usize = 4;
     const SEED_PROFILES: u64 = 4;
     const APPENDS: u64 = 30;
     const COMPACTS: usize = 25;
@@ -83,6 +85,8 @@ fn readers_never_tear_under_append_and_compact() {
     Store::save_opts(&dir, &initial, &opts).unwrap();
 
     let commits = AtomicUsize::new(1);
+    let cache = PinCache::new(&dir);
+    let cache_ref = &cache;
     let dir_ref = &dir;
     let opts_ref = &opts;
     let commits_ref = &commits;
@@ -105,15 +109,23 @@ fn readers_never_tear_under_append_and_compact() {
         }
         done
     });
-    let readers: Vec<ContendTask<'_, usize>> = (0..READERS)
-        .map(|_| {
+    let readers: Vec<ContendTask<'_, usize>> = (0..READERS + CACHED_READERS)
+        .map(|r| {
+            // open_pinned retries the open/GC race internally; a cache
+            // hit needs no retry (its held handles cannot tear). Any
+            // error escaping here is a failed invariant.
+            let pin = move || -> Snapshot {
+                if r < READERS {
+                    Store::open_pinned(dir_ref).expect("open_pinned")
+                } else {
+                    cache_ref.pin().expect("cached pin")
+                }
+            };
             Box::new(move |stop: &AtomicBool| {
                 let mut iterations = 0usize;
                 let mut watermark = SEED_PROFILES as usize;
                 while !stop.load(Ordering::Relaxed) {
-                    // open_pinned retries the open/GC race internally;
-                    // any error escaping here is a failed invariant.
-                    let snap = Store::open_pinned(dir_ref).expect("open_pinned");
+                    let snap = pin();
                     let (profiles, rep) = snap.load_all().expect("pinned load");
                     assert!(rep.is_clean(), "torn read: {rep}");
                     // Monotone within one reader: commits are ordered.

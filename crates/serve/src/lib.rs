@@ -8,7 +8,8 @@
 //! The crate is std-only: `std::net::TcpListener`, `std::thread`, and
 //! the workspace's own building blocks — the hardened
 //! [`thicket_perfsim::json`] codec on the wire, MVCC snapshot pinning
-//! ([`thicket_perfsim::Store::open_pinned_opts`]) per request, and the
+//! per request (through a [`thicket_perfsim::PinCache`], which parses
+//! each generation's manifest once), and the
 //! seedable equal-jitter [`thicket_perfsim::Backoff`] (deadline-bounded
 //! via `with_deadline`) driving client retries.
 //!

@@ -12,12 +12,16 @@
 //!   with a typed [`ServeError::Overloaded`] frame (carrying a retry
 //!   hint) instead of queueing unboundedly — the client backs off, the
 //!   server never falls behind silently.
-//! * **One pin per request.** Every data-touching request opens a
-//!   generation-pinned snapshot ([`Store::open_pinned`]) *inside*
-//!   the request scope and releases it on every exit path: success,
-//!   typed error, deadline, client disconnect, and worker panic (the
+//! * **One pin per request, one parse per generation.** Every
+//!   data-touching request pins a generation snapshot *inside* the
+//!   request scope and releases it on every exit path: success, typed
+//!   error, deadline, client disconnect, and worker panic (the
 //!   snapshot lives inside the `catch_unwind` closure, so an unwind
-//!   drops it before the panic is even caught).
+//!   drops it before the panic is even caught). The pin goes through a
+//!   [`PinCache`]: the newest manifest is parsed (and its shard files
+//!   opened) once per generation, and each request takes only its own
+//!   lease on that parse. No lease outlives its request — an idle
+//!   server holds no `pin-*` file.
 //! * **Per-request deadlines.** The clock starts when the request
 //!   frame completes; stages check it between pin, select, and load.
 //!   A blown deadline is a typed [`ServeError::DeadlineExceeded`], and
@@ -43,7 +47,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use thicket_core::{ProfileSource, StoreSource, Thicket, ThicketError};
-use thicket_perfsim::{Json, Profile, Store, StoreError, Strictness};
+use thicket_perfsim::{Json, PinCache, Profile, StoreError, Strictness};
 use thicket_query::parse_pred;
 
 use crate::frame::{read_frame, write_frame, FrameError, DEFAULT_MAX_FRAME};
@@ -117,7 +121,7 @@ pub struct Server {
 
 /// Everything a worker needs to execute requests.
 struct Engine {
-    store_dir: PathBuf,
+    pins: PinCache,
     opts: ServeOptions,
     stats: Arc<ServerStats>,
     shutdown: Arc<AtomicBool>,
@@ -143,7 +147,7 @@ impl Server {
         let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(opts.queue_depth.max(1));
         let rx = Arc::new(Mutex::new(rx));
         let engine = Arc::new(Engine {
-            store_dir: store_dir.into(),
+            pins: PinCache::new(store_dir),
             opts: opts.clone(),
             stats: Arc::clone(&stats),
             shutdown: Arc::clone(&shutdown),
@@ -476,7 +480,7 @@ impl Engine {
     /// Pin a snapshot for the current request, mapping store
     /// contention to the typed `Busy` response.
     fn pin(&self) -> Result<thicket_perfsim::Snapshot, ServeError> {
-        Store::open_pinned(&self.store_dir).map_err(store_error)
+        self.pins.pin().map_err(store_error)
     }
 }
 

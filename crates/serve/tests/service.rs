@@ -8,11 +8,12 @@
 //! budgeted backoff); typed `DeadlineExceeded` on a blown per-request
 //! deadline; worker panic isolation; graceful drain of in-flight work;
 //! typed `BadRequest` for malformed frames on a connection that stays
-//! usable. Every test ends asserting the store carries **zero pin
+//! usable; read-your-writes across appends (the server's cached parse
+//! never outlives its generation). Every test ends asserting the store carries **zero pin
 //! lease files** — the per-request pin lifecycle is the headline.
 
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use thicket_perfsim::{simulate_cpu_run, CpuRunConfig, Json, Profile, Store};
@@ -21,11 +22,8 @@ use thicket_serve::{
     ThicketClient,
 };
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("thicket-serve-{name}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+mod common;
+use common::TempDir;
 
 fn run(seed: u64) -> Profile {
     let mut cfg = CpuRunConfig::quartz_default();
@@ -64,9 +62,9 @@ fn raw_request(addr: &str, request: &Request) -> Response {
 
 #[test]
 fn filtered_load_query_stats_status_round_trip() {
-    let dir = tmp("roundtrip");
+    let dir = TempDir::new("roundtrip");
     let profiles = seed_store(&dir, 6);
-    let server = Server::bind(&dir, "127.0.0.1:0", ServeOptions::default()).unwrap();
+    let server = Server::bind(&*dir, "127.0.0.1:0", ServeOptions::default()).unwrap();
     let client = ThicketClient::new(server.addr().to_string());
 
     // Filtered load returns exactly the predicate's subset, decoded
@@ -108,19 +106,18 @@ fn filtered_load_query_stats_status_round_trip() {
 
     server.shutdown();
     assert_eq!(pin_count(&dir), 0, "a request leaked its pin lease");
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn full_queue_sheds_typed_overloaded_and_client_backs_off_into_success() {
-    let dir = tmp("overload");
+    let dir = TempDir::new("overload");
     seed_store(&dir, 2);
     let opts = ServeOptions {
         workers: 1,
         queue_depth: 1,
         ..debug_opts()
     };
-    let server = Server::bind(&dir, "127.0.0.1:0", opts).unwrap();
+    let server = Server::bind(&*dir, "127.0.0.1:0", opts).unwrap();
     let addr = server.addr().to_string();
 
     // Occupy the single worker for a while.
@@ -165,18 +162,17 @@ fn full_queue_sheds_typed_overloaded_and_client_backs_off_into_success() {
     assert!(server.shed() >= 1);
     server.shutdown();
     assert_eq!(pin_count(&dir), 0);
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn blown_deadline_is_a_typed_response_and_releases_the_pin() {
-    let dir = tmp("deadline");
+    let dir = TempDir::new("deadline");
     seed_store(&dir, 2);
     let opts = ServeOptions {
         request_deadline: Duration::from_millis(100),
         ..debug_opts()
     };
-    let server = Server::bind(&dir, "127.0.0.1:0", opts).unwrap();
+    let server = Server::bind(&*dir, "127.0.0.1:0", opts).unwrap();
     let addr = server.addr().to_string();
 
     let resp = raw_request(&addr, &Request::DebugSleep { ms: 5_000 });
@@ -188,14 +184,13 @@ fn blown_deadline_is_a_typed_response_and_releases_the_pin() {
     assert!(matches!(raw_request(&addr, &Request::Status), Response::Status(_)));
     server.shutdown();
     assert_eq!(pin_count(&dir), 0);
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn worker_panic_is_isolated_typed_and_leaks_nothing() {
-    let dir = tmp("panic");
+    let dir = TempDir::new("panic");
     seed_store(&dir, 2);
-    let server = Server::bind(&dir, "127.0.0.1:0", debug_opts()).unwrap();
+    let server = Server::bind(&*dir, "127.0.0.1:0", debug_opts()).unwrap();
     let addr = server.addr().to_string();
 
     match raw_request(&addr, &Request::DebugPanic) {
@@ -209,14 +204,13 @@ fn worker_panic_is_isolated_typed_and_leaks_nothing() {
     assert_eq!(loaded.len(), 2);
     server.shutdown();
     assert_eq!(pin_count(&dir), 0, "panicked request leaked its pin");
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn graceful_shutdown_drains_in_flight_requests() {
-    let dir = tmp("drain");
+    let dir = TempDir::new("drain");
     seed_store(&dir, 2);
-    let server = Server::bind(&dir, "127.0.0.1:0", debug_opts()).unwrap();
+    let server = Server::bind(&*dir, "127.0.0.1:0", debug_opts()).unwrap();
     let addr = server.addr().to_string();
 
     // Put a pin-holding request in flight, then shut down underneath it.
@@ -236,14 +230,13 @@ fn graceful_shutdown_drains_in_flight_requests() {
     assert_eq!(pin_count(&dir), 0, "drained request leaked its pin");
     // And the listener is really gone.
     assert!(TcpStream::connect(&addr).is_err(), "listener survived shutdown");
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn malformed_frames_get_typed_bad_request_and_connection_survives() {
-    let dir = tmp("badreq");
+    let dir = TempDir::new("badreq");
     seed_store(&dir, 2);
-    let server = Server::bind(&dir, "127.0.0.1:0", ServeOptions::default()).unwrap();
+    let server = Server::bind(&*dir, "127.0.0.1:0", ServeOptions::default()).unwrap();
     let addr = server.addr().to_string();
 
     // One persistent connection: garbage JSON, unknown op, disabled
@@ -276,5 +269,34 @@ fn malformed_frames_get_typed_bad_request_and_connection_survives() {
 
     server.shutdown();
     assert_eq!(pin_count(&dir), 0);
-    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn every_append_is_visible_to_the_next_request() {
+    let dir = TempDir::new("read-your-writes");
+    seed_store(&dir, 3);
+    let server = Server::bind(&*dir, "127.0.0.1:0", ServeOptions::default()).unwrap();
+    let client = ThicketClient::new(server.addr().to_string());
+    // Warm the server's parse of generation 1 first, so each append
+    // below has a cached generation to supersede.
+    assert_eq!(client.status().unwrap().generation, 1);
+
+    for seed in 3..7u64 {
+        let rep = Store::append(&dir, &[run(seed)]).unwrap();
+        let status = client.status().unwrap();
+        assert_eq!(status.generation, rep.generation, "status served a stale generation");
+        assert_eq!(status.profiles, seed as usize + 1);
+        let pred = format!("seed >= {seed}");
+        let (generation, loaded) = client.load_matching(Some(&pred)).unwrap();
+        assert_eq!(generation, rep.generation);
+        assert_eq!(loaded.len(), 1, "the appended profile is missing");
+        assert_eq!(loaded[0].profile_hash(), run(seed).profile_hash());
+        let (_, all) = client.load_matching(None).unwrap();
+        assert_eq!(all.len(), seed as usize + 1);
+    }
+
+    server.shutdown();
+    assert_eq!(pin_count(&dir), 0, "a request leaked its pin lease");
+    let fsck = Store::fsck(&dir).unwrap();
+    assert!(fsck.is_clean(), "{fsck}");
 }

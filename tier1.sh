@@ -40,6 +40,11 @@ cargo run -q -p thicket-bench --release --example trace_bench -- smoke
 # lengths, slow-loris, connection kills, one kill-9 of the daemon) under
 # --release — recovery timing only means something on optimized builds.
 cargo test -q --release -p thicket-serve --test chaos
+# Benchmark self-test at tiny sizes under --release (its own workspace):
+# the tiny service_mixed appends every few requests and checks every
+# reply against the store, so the server's cached-parse refresh path
+# (one manifest parse per generation) is exercised end to end.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
 # Live daemon smoke under --release: seed a store, start thicketd on an
 # ephemeral port, one filtered query + one call-path query through the
 # client verbs, SIGTERM, assert a clean drain and zero leftover leases.
