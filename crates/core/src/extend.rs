@@ -1,26 +1,26 @@
 //! Additional thicket operations beyond the paper's §4 core set:
-//! incremental ensemble growth ([`Thicket::extend`]), graph squashing
+//! adding profiles to a built thicket ([`Thicket::extend`]: one build
+//! of the new profiles, then one row-axis pool), graph squashing
 //! (Hatchet's `squash`), node intersection across profiles,
 //! string-dialect querying, and CSV export.
 
-use crate::thicket::{profile_fragments, Thicket, ThicketError, NODE_LEVEL, PROFILE_LEVEL};
+use crate::thicket::{Thicket, ThicketError, NODE_LEVEL, PROFILE_LEVEL};
 use std::collections::{HashMap, HashSet};
-use thicket_dataframe::{
-    merge_fragments, to_csv, ColKey, ColumnFragments, DataFrame, FrameBuilder, Index, Key, Value,
-};
-use thicket_perfsim::Profile;
+use thicket_dataframe::{to_csv, ColKey, DataFrame, Index, Value};
+use thicket_perfsim::{Profile, Strictness};
 use thicket_query::Query;
 
 impl Thicket {
-    /// Ingest additional profiles into this thicket in place — the
-    /// incremental counterpart of a full [`crate::Loader`] build.
+    /// Add profiles to this thicket in place: a fail-fast build of the
+    /// new profiles, pooled with the existing thicket through
+    /// [`crate::concat_thickets_rows`]. The result equals a build of
+    /// the full profile set whenever this thicket was itself built by
+    /// [`crate::Loader`]. Profile ids must be new and unique.
     ///
-    /// The existing performance data is *not* rebuilt from its source
-    /// profiles: it rides into the merge as one pre-typed column batch,
-    /// re-keyed through the graph union, alongside one freshly
-    /// assembled batch per new profile. The result equals rebuilding
-    /// from the full profile set whenever the existing thicket was
-    /// itself built by [`crate::Loader`].
+    /// Each call re-keys, merges and sorts every existing row, so its
+    /// cost is O(existing rows). To add many batches, build each and
+    /// pool them once with [`crate::concat_thickets_rows`] (what a
+    /// chunked [`crate::Loader`] load does).
     ///
     /// Aggregated statistics are cleared: they described the old
     /// ensemble.
@@ -29,121 +29,17 @@ impl Thicket {
         profiles: &[Profile],
         profile_ids: &[Value],
     ) -> Result<(), ThicketError> {
-        self.extend_threads(
-            profiles,
-            profile_ids,
-            thicket_perfsim::default_threads(profiles.len()),
-        )
-    }
-
-    /// [`Thicket::extend`] with an explicit worker count; bit-identical
-    /// for any `threads ≥ 1`.
-    pub fn extend_threads(
-        &mut self,
-        profiles: &[Profile],
-        profile_ids: &[Value],
-        threads: usize,
-    ) -> Result<(), ThicketError> {
-        if profiles.len() != profile_ids.len() {
-            return Err(ThicketError::Invalid(format!(
-                "{} profiles but {} profile ids",
-                profiles.len(),
-                profile_ids.len()
-            )));
-        }
-        if profiles.is_empty() {
+        if profiles.is_empty() && profile_ids.is_empty() {
             return Ok(());
         }
-        {
-            let existing: HashSet<Value> = self.profiles().into_iter().collect();
-            let mut seen = HashSet::new();
-            for id in profile_ids {
-                if existing.contains(id) || !seen.insert(id) {
-                    return Err(ThicketError::Invalid(format!("duplicate profile id {id}")));
-                }
-            }
-        }
-
-        // Union the existing unified graph with the new call trees. The
-        // existing graph goes first, so `mappings[0]` re-keys the rows
-        // already in the thicket.
-        let mut graphs: Vec<&thicket_graph::Graph> = Vec::with_capacity(profiles.len() + 1);
-        graphs.push(&self.graph);
-        graphs.extend(profiles.iter().map(|p| p.graph()));
-        let union = thicket_graph::GraphUnion::build(&graphs);
-
-        // Existing perf rows as one pre-typed fragment batch.
-        let self_mapping = &union.mappings[0];
-        let keys: Vec<Key> = self
-            .perf_data
-            .index()
-            .keys()
-            .iter()
-            .map(|key| {
-                let old = self.node_of_value(&key[0]).ok_or_else(|| {
-                    ThicketError::Invalid("perf row references unknown node".into())
-                })?;
-                Ok(vec![
-                    Value::Int(self_mapping[&old].index() as i64),
-                    key[1].clone(),
-                ])
-            })
-            .collect::<Result<_, ThicketError>>()?;
-        // One typed batch per new profile, assembled on the workers,
-        // and the new metadata rows — everything fallible that doesn't
-        // need to consume the existing frames happens first, so an
-        // error here leaves the thicket untouched.
-        let new_frags = profile_fragments(profiles, &union.mappings[1..], profile_ids, threads)?;
-        let mut mb = FrameBuilder::new([PROFILE_LEVEL]);
-        for (profile, pid) in profiles.iter().zip(profile_ids.iter()) {
-            mb.push_row(
-                vec![pid.clone()],
-                profile
-                    .metadata_iter()
-                    .map(|(k, v)| (ColKey::new(k), v.clone())),
-            )?;
-        }
-        let meta_keys: Vec<Key> = self
-            .metadata
-            .index()
-            .keys()
-            .iter()
-            .map(|key| vec![key[0].clone()])
-            .collect();
-
-        // Existing perf rows as one pre-typed fragment batch. The
-        // columns are *moved* in ([`ColumnFragments::absorb`]), not
-        // cloned: a streaming load extends once per chunk, and cloning
-        // the whole accumulated table each time would turn a linear
-        // ingest quadratic.
-        let mut frags = Vec::with_capacity(profiles.len() + 1);
-        let mut base = ColumnFragments::with_keys([NODE_LEVEL, PROFILE_LEVEL], keys)?;
-        let old_perf = std::mem::replace(
-            &mut self.perf_data,
-            DataFrame::new(Index::empty([NODE_LEVEL, PROFILE_LEVEL])),
-        );
-        base.absorb(old_perf)?;
-        frags.push(base);
-        frags.extend(new_frags);
-        let perf_data =
-            crate::order::sort_frame_by_index_threads(&merge_fragments(&frags)?, threads);
-
-        // Metadata: existing rows as a fragment (moved the same way),
-        // new rows per profile.
-        let mut meta_base = ColumnFragments::with_keys([PROFILE_LEVEL], meta_keys)?;
-        let old_meta = std::mem::replace(
-            &mut self.metadata,
-            DataFrame::new(Index::empty([PROFILE_LEVEL])),
-        );
-        meta_base.absorb(old_meta)?;
-        let metadata = merge_fragments(&[meta_base, mb.finish_fragments()])?;
-
-        self.graph = union.graph;
-        self.perf_data = perf_data;
-        self.metadata = metadata;
-        self.statsframe = DataFrame::new(Index::empty([NODE_LEVEL]));
+        let threads = thicket_perfsim::default_threads(profiles.len());
+        let (new, _) =
+            Thicket::build_indexed_threads(profiles, profile_ids, threads, Strictness::FailFast)?;
+        let new = new.expect("fail-fast builds return a thicket");
+        *self = crate::concat_thickets_rows(&[self, &new])?;
         Ok(())
     }
+
     /// Remove call-graph nodes that carry no performance data (e.g.
     /// structural interior nodes another profile contributed), rebuilding
     /// ancestry through nearest kept ancestors — Hatchet's `squash`.
@@ -382,14 +278,6 @@ mod tests {
         assert_eq!(grown.metadata(), full.metadata());
         assert_eq!(grown.graph().len(), full.graph().len());
         assert!(grown.statsframe().is_empty());
-
-        // Thread count does not change the result.
-        let mut one = Thicket::loader(&profiles[..2]).profile_ids(&ids[..2]).load().unwrap().0;
-        one.extend_threads(&profiles[2..], &ids[2..], 1).unwrap();
-        let mut eight = Thicket::loader(&profiles[..2]).profile_ids(&ids[..2]).load().unwrap().0;
-        eight.extend_threads(&profiles[2..], &ids[2..], 8).unwrap();
-        assert_eq!(one.perf_data(), eight.perf_data());
-        assert_eq!(one.metadata(), eight.metadata());
     }
 
     #[test]

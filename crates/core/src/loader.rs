@@ -21,10 +21,11 @@
 //! sharded store directories, raw event traces, or any custom
 //! [`ProfileSource`] ([`LoadSource`]). Profiles already in memory
 //! compose directly. Every other source is drained through the
-//! pull-based chunk protocol of [`ProfileSource`]: the first chunk
-//! composes the thicket, every later chunk extends it, so a source
-//! larger than memory (a trace) streams through without ever
-//! materializing. Store sources always read through a pinned snapshot,
+//! pull-based chunk protocol of [`ProfileSource`]: each chunk is built
+//! into its own thicket as it arrives and the chunk thickets are pooled
+//! once at the end ([`crate::concat_thickets_rows`]), so a source larger
+//! than memory (a trace) streams through without ever materializing
+//! its profiles. Store sources always read through a pinned snapshot,
 //! so a concurrent append, compaction, or GC can never tear the load.
 //!
 //! The same knobs apply to each source: [`Loader::threads`] pins the
@@ -69,8 +70,9 @@ use std::time::Duration;
 use thicket_dataframe::{PredExpr, Value};
 use thicket_perfsim::{default_threads, FilterPlan, IngestReport, Profile, Store, Strictness};
 
+use crate::rowconcat::concat_thickets_rows_threads;
 use crate::source::{profile_meta_keys, EnsembleSource, ProfileSource, StoreSource, TraceSource};
-use crate::thicket::{zero_profiles, Thicket, ThicketError, PROFILE_LEVEL};
+use crate::thicket::{no_survivors, Thicket, ThicketError, PROFILE_LEVEL};
 
 /// Where a [`Loader`] reads its profiles from.
 ///
@@ -174,8 +176,8 @@ impl LoadSource<'_> {
 impl<'a> LoadSource<'a> {
     /// Wrap a custom [`ProfileSource`] implementation (a socket, a
     /// generator, a foreign format…). The loader drives it through the
-    /// same chunked build-then-extend protocol as every built-in
-    /// source.
+    /// same chunked build-per-chunk, pool-once protocol as every
+    /// built-in source.
     pub fn custom(src: impl ProfileSource + 'a) -> LoadSource<'a> {
         LoadSource::Custom(Box::new(src))
     }
@@ -281,11 +283,14 @@ impl<'a> Loader<'a> {
     /// both the read and the composition; the report is clean for
     /// fail-fast loads that return `Ok`.
     ///
-    /// Chunked sources (traces, custom sources) compose
-    /// incrementally: the first chunk builds the thicket, each later
-    /// chunk is absorbed via `Thicket::extend` — bit-identical to a
-    /// whole-input build, but never holding more than one chunk of
-    /// source profiles.
+    /// Chunked sources (traces, custom sources) build each chunk into a
+    /// thicket under the load's strictness as it arrives, then pool the
+    /// chunk thickets once ([`crate::concat_thickets_rows`]). The
+    /// result and report equal a whole-input build, but no more than
+    /// one chunk of source profiles is held at a time. The one
+    /// difference: a profile id repeated across chunks fails the pool
+    /// even under lenient strictness, where a whole-input build would
+    /// drop the repeat with a diagnostic.
     pub fn load(self) -> Result<(Thicket, IngestReport), ThicketError> {
         let Loader {
             source,
@@ -389,14 +394,15 @@ fn load_in_memory(
     };
     let threads = threads.unwrap_or_else(|| default_threads(kept.len()));
     let (tk, report) = Thicket::build_indexed_threads(&kept, &ids, threads, strictness)?;
+    let tk = tk.ok_or_else(|| no_survivors(&report))?;
     finalize(tk, report, plan, &residual)
 }
 
-/// Drive a [`ProfileSource`] through the chunked build-then-extend
-/// protocol: plan the filter against the source's metadata keys, pull
-/// chunks (applying the pushed predicate per chunk when the source
-/// declined it), compose the first chunk, extend with the rest, then
-/// merge read and composition accounting.
+/// Drive a [`ProfileSource`] through the chunk protocol: plan the
+/// filter against the source's metadata keys, pull chunks (applying the
+/// pushed predicate per chunk when the source declined it), build each
+/// chunk under the load's strictness, pool the chunk thickets once,
+/// then merge read and composition accounting.
 fn load_streaming(
     mut src: Box<dyn ProfileSource + '_>,
     threads: Option<usize>,
@@ -415,7 +421,9 @@ fn load_streaming(
         }
     }
 
-    let mut tk: Option<Thicket> = None;
+    // A lenient chunk that drops every profile contributes its
+    // diagnostics and no thicket.
+    let mut chunks: Vec<Thicket> = Vec::new();
     let mut build_report = IngestReport::default();
     while let Some(mut chunk) = src.next_chunk()? {
         if let Some(pred) = &chunk_pred {
@@ -426,26 +434,20 @@ fn load_streaming(
         }
         let ids = hash_ids(&chunk);
         let threads_n = threads.unwrap_or_else(|| default_threads(chunk.len()));
-        match &mut tk {
-            None => {
-                let (built, r) =
-                    Thicket::build_indexed_threads(&chunk, &ids, threads_n, strictness)?;
-                build_report = r;
-                tk = Some(built);
-            }
-            Some(t) => {
-                // Extension chunks compose fail-fast: per-profile
-                // lenient isolation lives in the read phase (source
-                // diagnostics) and the first-chunk build.
-                t.extend_threads(&chunk, &ids, threads_n)?;
-                build_report.attempted += chunk.len();
-                build_report.loaded += chunk.len();
-            }
-        }
+        let (built, r) = Thicket::build_indexed_threads(&chunk, &ids, threads_n, strictness)?;
+        build_report.attempted += r.attempted;
+        build_report.loaded += r.loaded;
+        build_report.diagnostics.extend(r.diagnostics);
+        chunks.extend(built);
     }
-    // Nothing loaded at all: fail-fast and lenient builds both refuse
-    // emptiness.
-    let tk = tk.ok_or_else(zero_profiles)?;
+    let tk = match chunks.len() {
+        0 => return Err(no_survivors(&build_report)),
+        1 => chunks.pop().expect("one chunk"),
+        n => {
+            let inputs: Vec<&Thicket> = chunks.iter().collect();
+            concat_thickets_rows_threads(&inputs, threads.unwrap_or_else(|| default_threads(n)))?
+        }
+    };
 
     // A trivial read report (no read phase of its own) means
     // composition accounting stands alone — exactly the in-memory

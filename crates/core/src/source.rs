@@ -9,11 +9,12 @@
 //! loader composes a borrowed or owned slice directly.
 //!
 //! The chunk protocol is what makes bounded-memory ingest possible: the
-//! loader composes the first chunk into a thicket and folds every later
-//! chunk in via [`Thicket::extend_threads`](crate::Thicket), so at no
-//! point do source-side profiles and a fully-materialized input list
-//! coexist. Sources that are cheap to materialize simply yield one
-//! chunk — the trait costs them nothing.
+//! loader builds each chunk into its own thicket as it arrives (under
+//! the load's strictness) and pools the chunk thickets once at the end
+//! ([`concat_thickets_rows`](crate::concat_thickets_rows)), so at no
+//! point does a fully-materialized input list exist — only one chunk of
+//! profiles plus the columnar chunk thickets. Sources that are cheap to
+//! materialize simply yield one chunk — the trait costs them nothing.
 
 use std::collections::BTreeSet;
 use std::fs::File;
@@ -43,7 +44,8 @@ use crate::trace_agg::TraceAggregator;
 ///    `false` gets the filter applied by the loader on each chunk
 ///    instead.
 /// 2. It pulls [`next_chunk`](ProfileSource::next_chunk) until `None`,
-///    composing the first chunk and extending with the rest.
+///    building each chunk into a thicket, then pools the chunk
+///    thickets once.
 /// 3. It collects [`take_report`](ProfileSource::take_report) and merges
 ///    it with the composition accounting.
 ///

@@ -89,14 +89,16 @@ impl Thicket {
     /// Build engine behind [`crate::Loader`]: compose `profiles` under
     /// caller-chosen index values on `threads` workers. Fail-fast errs
     /// on the first unhealthy input; lenient drops unhealthy profiles
-    /// with typed diagnostics and errs only when none survives. The
-    /// thicket and report are bit-identical for any `threads ≥ 1`.
+    /// with typed diagnostics and returns no thicket when none survives
+    /// (the report still lists why; [`no_survivors`] is the load's
+    /// error then). The thicket and report are bit-identical for any
+    /// `threads ≥ 1`.
     pub(crate) fn build_indexed_threads(
         profiles: &[Profile],
         profile_ids: &[Value],
         threads: usize,
         strictness: Strictness,
-    ) -> Result<(Thicket, IngestReport), ThicketError> {
+    ) -> Result<(Option<Thicket>, IngestReport), ThicketError> {
         if profiles.is_empty() {
             return Err(zero_profiles());
         }
@@ -115,7 +117,7 @@ impl Thicket {
                     loaded: profiles.len(),
                     ..IngestReport::default()
                 };
-                Ok((tk, report))
+                Ok((Some(tk), report))
             }
             Strictness::Lenient { .. } => build_lenient(profiles, profile_ids, threads),
         }
@@ -342,8 +344,18 @@ impl Thicket {
 }
 
 /// The canonical refusal of an empty input, shared by every load path.
-pub(crate) fn zero_profiles() -> ThicketError {
+fn zero_profiles() -> ThicketError {
     ThicketError::Invalid("cannot build a thicket from zero profiles".into())
+}
+
+/// The error of a load that composed no thicket: every profile was
+/// dropped (the diagnostics of `report` say why), or there were none.
+pub(crate) fn no_survivors(report: &IngestReport) -> ThicketError {
+    if report.diagnostics.is_empty() {
+        return zero_profiles();
+    }
+    let report: Vec<String> = report.diagnostics.iter().map(|d| d.to_string()).collect();
+    ThicketError::Invalid(format!("every profile was dropped: {}", report.join("; ")))
 }
 
 /// Fail-fast build: any duplicate id or failing profile aborts it.
@@ -386,7 +398,8 @@ fn build_strict(
 
 /// Lenient build: unhealthy profiles (duplicate ids, non-finite
 /// metrics, panicking assembly workers) are dropped with typed
-/// diagnostics instead of failing the build.
+/// diagnostics instead of failing the build; no thicket when every
+/// profile is dropped.
 ///
 /// Pre-validation runs serially in input order; row assembly fans out
 /// with per-profile panic capture. A panicking profile is dropped with
@@ -397,7 +410,7 @@ fn build_lenient(
     profiles: &[Profile],
     profile_ids: &[Value],
     threads: usize,
-) -> Result<(Thicket, IngestReport), ThicketError> {
+) -> Result<(Option<Thicket>, IngestReport), ThicketError> {
     // Serial pre-validation, in input order.
     let mut diagnostics: Vec<(usize, Diagnostic)> = Vec::new();
     let mut healthy: Vec<usize> = Vec::new();
@@ -432,13 +445,9 @@ fn build_lenient(
     // Panic-isolated assembly. Any failure drops that profile and
     // retries on the survivors (the graph union must be rebuilt
     // without the dropped profile's call tree).
-    loop {
+    let tk = loop {
         if healthy.is_empty() {
-            let report: Vec<String> = diagnostics.iter().map(|(_, d)| d.to_string()).collect();
-            return Err(ThicketError::Invalid(format!(
-                "every profile was dropped: {}",
-                report.join("; ")
-            )));
+            break None;
         }
         let graphs: Vec<&Graph> = healthy.iter().map(|&i| profiles[i].graph()).collect();
         let union = GraphUnion::build(&graphs);
@@ -475,21 +484,21 @@ fn build_lenient(
             continue;
         }
 
-        let tk = assemble(
+        break Some(assemble(
             union.graph,
             &frags,
             healthy.iter().map(|&i| (&profiles[i], &profile_ids[i])),
             threads,
-        )?;
-        diagnostics.sort_by_key(|(i, _)| *i);
-        let report = IngestReport {
-            attempted: profiles.len(),
-            loaded: healthy.len(),
-            diagnostics: diagnostics.into_iter().map(|(_, d)| d).collect(),
-            pushdown: None,
-        };
-        return Ok((tk, report));
-    }
+        )?);
+    };
+    diagnostics.sort_by_key(|(i, _)| *i);
+    let report = IngestReport {
+        attempted: profiles.len(),
+        loaded: healthy.len(),
+        diagnostics: diagnostics.into_iter().map(|(_, d)| d).collect(),
+        pushdown: None,
+    };
+    Ok((tk, report))
 }
 
 /// The shared build tail: merge the per-profile fragments into the
@@ -632,7 +641,7 @@ fn assemble_fragment(
 /// naming its profile id, and a panicking worker is captured as
 /// [`ThicketError::Worker`] instead of unwinding through the API. Batch
 /// order follows `profiles`, so downstream merges are deterministic.
-pub(crate) fn profile_fragments(
+fn profile_fragments(
     profiles: &[Profile],
     mappings: &[HashMap<NodeId, NodeId>],
     profile_ids: &[Value],

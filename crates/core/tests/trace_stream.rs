@@ -16,6 +16,7 @@ use proptest::prelude::*;
 use thicket_core::{
     trace_to_store, LoadSource, PredExpr, ProfileSource, Thicket, ThicketError,
 };
+use thicket_graph::{Frame, Graph, NodeId};
 use thicket_perfsim::{
     emit_trace_to_path, inject, simulate_cpu_run, FaultKind, Profile, Strictness, TraceConfig,
     TraceReader,
@@ -177,6 +178,126 @@ fn custom_source_declining_pushdown_matches_the_fast_path() {
     let plan = report.pushdown.expect("filtered loads record a plan");
     assert_eq!(Some(&plan), fast_report.pushdown.as_ref());
     assert_eq!((plan.pushed.len(), plan.residual.len()), (1, 1), "{plan}");
+}
+
+/// Load `profiles` one per chunk through a custom source.
+fn load_one_per_chunk(
+    profiles: Vec<Profile>,
+    strictness: Strictness,
+) -> Result<(Thicket, thicket_core::IngestReport), ThicketError> {
+    Thicket::loader(LoadSource::custom(OnePerChunk(profiles.into_iter())))
+        .strictness(strictness)
+        .load()
+}
+
+/// Exact graph structure by node id: each node's frame and children.
+fn graph_shape(tk: &Thicket) -> Vec<(Frame, Vec<NodeId>)> {
+    let g = tk.graph();
+    g.ids()
+        .map(|id| (g.node(id).frame().clone(), g.node(id).children().to_vec()))
+        .collect()
+}
+
+#[test]
+fn chunked_load_of_divergent_trees_matches_a_whole_input_build() {
+    // `main→x`, then `main→{y, x→z}`, then `main→w`, one profile per
+    // chunk: after the second chunk the unified graph's pre-order
+    // (main, x, z, y) is not its id order (main, x, y, z).
+    let shapes: [&[(&str, Option<usize>)]; 3] = [
+        &[("main", None), ("x", Some(0))],
+        &[
+            ("main", None),
+            ("y", Some(0)),
+            ("x", Some(0)),
+            ("z", Some(2)),
+        ],
+        &[("main", None), ("w", Some(0))],
+    ];
+    let profiles: Vec<Profile> = shapes
+        .iter()
+        .enumerate()
+        .map(|(run, nodes)| {
+            let mut g = Graph::new();
+            let mut ids = Vec::new();
+            for (name, parent) in nodes.iter() {
+                ids.push(match parent {
+                    None => g.add_root(Frame::named(*name)),
+                    Some(p) => g.add_child(ids[*p], Frame::named(*name)),
+                });
+            }
+            let mut p = Profile::new(g);
+            p.set_metadata("run", run as i64);
+            for (i, id) in ids.iter().enumerate() {
+                p.set_metric(*id, "time", (10 * run + i) as f64);
+            }
+            p
+        })
+        .collect();
+
+    let (whole, _) = Thicket::loader(&profiles).load().unwrap();
+    let (chunked, report) = load_one_per_chunk(profiles, Strictness::FailFast).unwrap();
+    assert!(report.is_clean());
+    assert_eq!(graph_shape(&chunked), graph_shape(&whole));
+    assert_eq!(chunked.perf_data(), whole.perf_data());
+    assert_eq!(chunked.metadata(), whole.metadata());
+}
+
+/// Four simulated profiles; those at `nan_at` carry a NaN metric.
+fn profiles_with_nan(nan_at: &[usize]) -> Vec<Profile> {
+    (0..4u64)
+        .map(|seed| {
+            let mut cfg = thicket_perfsim::CpuRunConfig::quartz_default();
+            cfg.seed = seed;
+            let mut p = simulate_cpu_run(&cfg);
+            if nan_at.contains(&(seed as usize)) {
+                let node = p
+                    .graph()
+                    .ids()
+                    .find(|id| !p.node_metrics(*id).is_empty())
+                    .unwrap();
+                p.set_metric(node, "time (exc)", f64::NAN);
+            }
+            p
+        })
+        .collect()
+}
+
+#[test]
+fn lenient_strictness_applies_to_every_chunk() {
+    // A NaN profile in chunk 3, and in chunk 1; each such chunk drops
+    // its only profile.
+    for nan_at in [vec![2], vec![0], vec![0, 3]] {
+        let profiles = profiles_with_nan(&nan_at);
+        let (want, want_report) = Thicket::loader(&profiles)
+            .strictness(Strictness::lenient())
+            .load()
+            .unwrap();
+        let (got, report) = load_one_per_chunk(profiles, Strictness::lenient()).unwrap();
+        assert_eq!(want_report.diagnostics.len(), nan_at.len(), "{nan_at:?}");
+        assert_eq!(report, want_report, "{nan_at:?}");
+        assert_eq!(got.perf_data(), want.perf_data(), "{nan_at:?}");
+        assert_eq!(got.metadata(), want.metadata(), "{nan_at:?}");
+    }
+
+    // Every chunk dropped: the same error as the in-memory load.
+    let profiles = profiles_with_nan(&[0, 1, 2, 3]);
+    let want = Thicket::loader(&profiles)
+        .strictness(Strictness::lenient())
+        .load()
+        .unwrap_err();
+    let got = load_one_per_chunk(profiles, Strictness::lenient()).unwrap_err();
+    assert_eq!(got.to_string(), want.to_string());
+}
+
+#[test]
+fn profile_ids_repeated_across_chunks_fail_the_pool() {
+    let mut profiles = profiles_with_nan(&[]);
+    profiles.push(profiles[1].clone());
+    let err = load_one_per_chunk(profiles, Strictness::lenient()).unwrap_err();
+    assert!(
+        err.to_string().contains("more than one input"),
+        "unexpected error: {err}"
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -188,12 +188,6 @@ impl DataFrame {
         self.cols.iter().map(|(k, c)| (k, c))
     }
 
-    /// Decompose the frame into its index and owned columns (insertion
-    /// order) — the zero-copy feed for [`ColumnFragments::absorb`].
-    pub fn into_parts(self) -> (Index, Vec<(ColKey, Column)>) {
-        (self.index, self.cols)
-    }
-
     /// A read-only view of one row.
     pub fn row(&self, row: usize) -> RowRef<'_> {
         RowRef { df: self, row }
@@ -598,22 +592,6 @@ impl ColumnFragments {
         Ok(())
     }
 
-    /// Move a frame's columns into this batch **without cloning the
-    /// cell data** — the chunked-extend reuse path: an existing table
-    /// rides into a [`merge_fragments`] merge as one pre-typed batch.
-    /// The frame's own index is discarded (the batch already carries
-    /// its index fragment, typically a re-keyed copy); its row count
-    /// must match the keys pushed so far. Equivalent to
-    /// [`ColumnFragments::push_column`] over cloned columns, minus the
-    /// copies.
-    pub fn absorb(&mut self, frame: DataFrame) -> Result<()> {
-        let (_, cols) = frame.into_parts();
-        for (key, col) in cols {
-            self.push_column(key, col)?;
-        }
-        Ok(())
-    }
-
     /// Number of rows in this fragment batch.
     pub fn len(&self) -> usize {
         self.keys.len()
@@ -709,38 +687,6 @@ mod tests {
         df.insert("variant", Column::from_strs(["seq", "omp", "seq", "omp"]))
             .unwrap();
         df
-    }
-
-    #[test]
-    fn absorb_matches_cloned_push_column() {
-        let df = sample();
-        // Reference: clone every column into the batch.
-        let mut cloned = ColumnFragments::with_keys(
-            ["node", "profile"],
-            df.index().keys().to_vec(),
-        )
-        .unwrap();
-        for (k, c) in df.columns() {
-            cloned.push_column(k.clone(), c.clone()).unwrap();
-        }
-        // Reuse path: move the columns in.
-        let mut moved = ColumnFragments::with_keys(
-            ["node", "profile"],
-            df.index().keys().to_vec(),
-        )
-        .unwrap();
-        moved.absorb(sample()).unwrap();
-        let a = merge_fragments(&[cloned]).unwrap();
-        let b = merge_fragments(&[moved]).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(b, sample());
-
-        // Row-count mismatch is refused.
-        let mut short = ColumnFragments::new(["node", "profile"]);
-        assert!(matches!(
-            short.absorb(sample()),
-            Err(DfError::LengthMismatch { .. })
-        ));
     }
 
     #[test]

@@ -9,6 +9,15 @@
 //! [`GraphUnion::build`] produces the unified graph plus, for every input
 //! graph, a mapping from its node ids to unified ids; the thicket
 //! constructor uses those mappings to re-key every profile's metric rows.
+//!
+//! Each input is walked in node-id order. Nodes are only ever made by
+//! `add_root`/`add_child`, so a node's first parent always has a lower
+//! id than the node, and the unified graph numbers its nodes in order of
+//! first appearance across the inputs. That makes the union associative
+//! on trees: `union(union(G1..Gk), union(Gk+1..Gn))` yields the same
+//! graph and (composed) mappings as `union(G1..Gn)`, which is what lets
+//! a chunked load pool per-chunk thickets into exactly the thicket a
+//! whole-input build produces.
 
 use crate::frame::Frame;
 use crate::graph::{Graph, NodeId};
@@ -44,8 +53,8 @@ impl GraphUnion {
         let mut index: HashMap<(Option<NodeId>, Frame), NodeId> = HashMap::new();
         for g in graphs {
             let mut map: HashMap<NodeId, NodeId> = HashMap::new();
-            // Pre-order guarantees parents map before children.
-            for id in g.preorder() {
+            // Id order maps every node's first parent before the node.
+            for id in g.ids() {
                 let frame = g.node(id).frame().clone();
                 let parent_new = g
                     .node(id)
@@ -76,9 +85,9 @@ impl GraphUnion {
                 map.insert(id, new_id);
             }
             // Extra parents (DAG input) become extra edges. Deferred to a
-            // second pass: pre-order only guarantees the *first*-parent
-            // chain is mapped before a node, not every parent.
-            for id in g.preorder() {
+            // second pass: id order only guarantees the *first* parent
+            // is mapped before a node, not every parent.
+            for id in g.ids() {
                 let new_id = map[&id];
                 for p_old in g.node(id).parents().iter().skip(1) {
                     let p_new = map[p_old];

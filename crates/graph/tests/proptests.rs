@@ -1,7 +1,8 @@
 //! Property-based tests for graph construction and union.
 
 use proptest::prelude::*;
-use thicket_graph::{Frame, Graph, GraphUnion};
+use std::collections::HashMap;
+use thicket_graph::{Frame, Graph, GraphUnion, NodeId};
 
 /// Build a random tree from a parent-pointer vector: node i's parent is
 /// `parents[i] % i` (node 0 is the root). Names are drawn from a small
@@ -43,6 +44,34 @@ fn path_signature(g: &Graph) -> Vec<Vec<String>> {
         .collect();
     sigs.sort();
     sigs
+}
+
+/// Exact structure by node id: roots, then each node's frame, parents
+/// and children in order.
+type Shape = (Vec<NodeId>, Vec<(Frame, Vec<NodeId>, Vec<NodeId>)>);
+
+fn shape(g: &Graph) -> Shape {
+    let nodes = g
+        .ids()
+        .map(|id| {
+            let n = g.node(id);
+            (
+                n.frame().clone(),
+                n.parents().to_vec(),
+                n.children().to_vec(),
+            )
+        })
+        .collect();
+    (g.roots().to_vec(), nodes)
+}
+
+/// `outer ∘ inner`: where a node of an input graph lands after two
+/// successive unions.
+fn compose(
+    inner: &HashMap<NodeId, NodeId>,
+    outer: &HashMap<NodeId, NodeId>,
+) -> HashMap<NodeId, NodeId> {
+    inner.iter().map(|(old, mid)| (*old, outer[mid])).collect()
 }
 
 proptest! {
@@ -119,5 +148,30 @@ proptest! {
         let keep: std::collections::HashSet<_> = g.preorder().into_iter().collect();
         let (sub, _) = g.induced_subgraph(&keep);
         prop_assert_eq!(path_signature(&sub), path_signature(&g));
+    }
+
+    /// Union is associative: unioning the unions of a split input list
+    /// gives exactly the graph (ids, frames, child order) and the
+    /// composed mappings of one union over the whole list.
+    #[test]
+    fn union_is_associative(
+        graphs in proptest::collection::vec(tree_strategy(), 2..6),
+        cut in any::<usize>(),
+    ) {
+        let k = 1 + cut % (graphs.len() - 1);
+        let all: Vec<&Graph> = graphs.iter().collect();
+        let flat = GraphUnion::build(&all);
+        let left = GraphUnion::build(&all[..k]);
+        let right = GraphUnion::build(&all[k..]);
+        let nested = GraphUnion::build(&[&left.graph, &right.graph]);
+        prop_assert_eq!(shape(&nested.graph), shape(&flat.graph));
+        for (i, want) in flat.mappings.iter().enumerate() {
+            let got = if i < k {
+                compose(&left.mappings[i], &nested.mappings[0])
+            } else {
+                compose(&right.mappings[i - k], &nested.mappings[1])
+            };
+            prop_assert_eq!(&got, want);
+        }
     }
 }

@@ -15,6 +15,9 @@
 //!   crashes) linearizes: after every op the store serves either the
 //!   pre-op or the post-op contents, nothing in between.
 
+mod common;
+
+use common::TempDir;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -22,12 +25,6 @@ use thicket_perfsim::{
     contend, simulate_cpu_run, ChaosOp, ChaosSchedule, ContendTask, CpuRunConfig, PinCache,
     Profile, Snapshot, Store, StoreError, StoreOptions,
 };
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("thicket-concurrency-{name}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn run(seed: u64) -> Profile {
     let mut cfg = CpuRunConfig::quartz_default();
@@ -76,7 +73,7 @@ fn readers_never_tear_under_append_and_compact() {
     const APPENDS: u64 = 30;
     const COMPACTS: usize = 25;
 
-    let dir = tmp("matrix");
+    let dir = TempDir::new("concurrency-matrix");
     let opts = StoreOptions {
         keep_generations: 0,
         ..StoreOptions::default()
@@ -85,7 +82,7 @@ fn readers_never_tear_under_append_and_compact() {
     Store::save_opts(&dir, &initial, &opts).unwrap();
 
     let commits = AtomicUsize::new(1);
-    let cache = PinCache::new(&dir);
+    let cache = PinCache::new(&*dir);
     let cache_ref = &cache;
     let dir_ref = &dir;
     let opts_ref = &opts;
@@ -167,14 +164,13 @@ fn readers_never_tear_under_append_and_compact() {
     let fsck = Store::fsck(&dir).unwrap();
     assert!(fsck.is_clean(), "{fsck}");
     assert!(fsck.live_leases.is_empty(), "leaked leases: {fsck}");
-    std::fs::remove_dir_all(dir).ok();
 }
 
 /// GC at `keep_generations: 0` must skip a generation a live snapshot
 /// pinned — and collect it promptly once the pin drops.
 #[test]
 fn gc_respects_live_pins_across_many_commits() {
-    let dir = tmp("pin-hold");
+    let dir = TempDir::new("concurrency-pin-hold");
     let opts = StoreOptions {
         keep_generations: 0,
         ..StoreOptions::default()
@@ -203,14 +199,13 @@ fn gc_respects_live_pins_across_many_commits() {
         .filter(|e| e.file_name().to_string_lossy().starts_with("MANIFEST-"))
         .count();
     assert_eq!(manifests, 1, "released generations survived GC");
-    std::fs::remove_dir_all(dir).ok();
 }
 
 /// A stale lease (dead owner pid) must not hold GC hostage: the next
 /// commit collects the generation and reaps the lease file.
 #[test]
 fn dead_owner_lease_is_reaped_by_gc() {
-    let dir = tmp("lease-reap");
+    let dir = TempDir::new("concurrency-lease-reap");
     let opts = StoreOptions {
         keep_generations: 0,
         ..StoreOptions::default()
@@ -227,7 +222,6 @@ fn dead_owner_lease_is_reaped_by_gc() {
         .filter(|e| e.file_name().to_string_lossy().starts_with("MANIFEST-"))
         .count();
     assert_eq!(manifests, 1, "stale lease pinned a generation");
-    std::fs::remove_dir_all(dir).ok();
 }
 
 /// Replay a seeded chaos schedule — appends, compactions, and writer
@@ -236,7 +230,7 @@ fn dead_owner_lease_is_reaped_by_gc() {
 /// pre-op or the post-op contents, and fsck comes back clean.
 #[test]
 fn chaos_schedule_linearizes() {
-    let dir = tmp("chaos");
+    let dir = TempDir::new("concurrency-chaos");
     let mut committed: Vec<i64> = Vec::new();
     let mut next_seed = 0u64;
     let mut fresh = |n: usize| -> Vec<Profile> {
@@ -337,7 +331,6 @@ fn chaos_schedule_linearizes() {
     // The wreckage of 40 chaotic ops still recovers to a clean store.
     Store::recover(&dir).unwrap();
     assert!(Store::fsck(&dir).unwrap().is_clean());
-    std::fs::remove_dir_all(dir).ok();
 }
 
 /// Subprocess body for [`kill_nine_mid_commit_recovers`]: an unbounded
@@ -363,13 +356,13 @@ fn child_writer_loop() {
 /// fsck, and a contiguous prefix of the child's appends.
 #[test]
 fn kill_nine_mid_commit_recovers() {
-    let dir = tmp("kill9");
+    let dir = TempDir::new("concurrency-kill9");
     Store::save(&dir, &[run(0)]).unwrap();
 
     let exe = std::env::current_exe().unwrap();
     let mut child = std::process::Command::new(exe)
         .args(["child_writer_loop", "--exact", "--nocapture"])
-        .env("THICKET_CHILD_DIR", &dir)
+        .env("THICKET_CHILD_DIR", &*dir)
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
         .spawn()
@@ -408,7 +401,6 @@ fn kill_nine_mid_commit_recovers() {
         t0.elapsed() < StoreOptions::default().lock_timeout,
         "post-kill append waited out a lock timeout"
     );
-    std::fs::remove_dir_all(dir).ok();
 }
 
 /// Subprocess body for [`kill_nine_pinned_server_lease_is_reaped`]: a
@@ -435,14 +427,14 @@ fn child_pinned_reader_loop() {
 /// zero records lost and exactly one complete newest generation.
 #[test]
 fn kill_nine_pinned_server_lease_is_reaped() {
-    let dir = tmp("kill9-pin");
+    let dir = TempDir::new("concurrency-kill9-pin");
     let initial: Vec<Profile> = (0..3).map(run).collect();
     Store::save(&dir, &initial).unwrap();
 
     let exe = std::env::current_exe().unwrap();
     let mut child = std::process::Command::new(exe)
         .args(["child_pinned_reader_loop", "--exact", "--nocapture"])
-        .env("THICKET_PIN_DIR", &dir)
+        .env("THICKET_PIN_DIR", &*dir)
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
         .spawn()
@@ -485,5 +477,4 @@ fn kill_nine_pinned_server_lease_is_reaped() {
     let (profiles, rep) = Store::open(&dir).unwrap().load_all().unwrap();
     assert!(rep.is_clean(), "{rep}");
     assert_eq!(assert_contiguous_prefix(&profiles, 4), 4);
-    std::fs::remove_dir_all(dir).ok();
 }

@@ -4,6 +4,9 @@
 //! per fault, and produce byte-identical reports for any worker-thread
 //! count. Strict mode must identify the offending path and never panic.
 
+mod common;
+
+use common::TempDir;
 use std::path::PathBuf;
 use thicket_perfsim::faults::{inject_all, FaultKind};
 use thicket_perfsim::{
@@ -13,9 +16,8 @@ use thicket_perfsim::{
 
 const HEALTHY: u64 = 8;
 
-fn corrupted_dir(name: &str, seed: u64) -> (PathBuf, Vec<(FaultKind, PathBuf)>) {
-    let dir = std::env::temp_dir().join(format!("thicket-faults-e2e-{name}"));
-    let _ = std::fs::remove_dir_all(&dir);
+fn corrupted_dir(name: &str, seed: u64) -> (TempDir, Vec<(FaultKind, PathBuf)>) {
+    let dir = TempDir::new(&format!("faults-e2e-{name}"));
     let profiles: Vec<_> = (0..HEALTHY)
         .map(|s| {
             let mut cfg = CpuRunConfig::quartz_default();
@@ -72,7 +74,6 @@ fn mixed_health_dir_loads_healthy_subset_identically_across_threads() {
             diag.kind
         );
     }
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
@@ -88,7 +89,6 @@ fn strict_mode_identifies_offending_path_without_panicking() {
             "threads={threads}: error does not name an injected path: {msg}"
         );
     }
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
@@ -99,7 +99,6 @@ fn fail_fast_strictness_matches_strict_loader() {
         .map(|_| ())
         .unwrap_err();
     assert_eq!(strict.to_string(), opts.to_string());
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
@@ -117,7 +116,6 @@ fn max_errors_budget_escalates_to_hard_error() {
         },
     );
     assert!(r.is_ok());
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
@@ -133,13 +131,11 @@ fn diagnostics_are_path_ordered() {
         .diagnostics
         .iter()
         .any(|d| matches!(d.kind, DiagKind::Parse { .. })));
-    std::fs::remove_dir_all(dir).ok();
 }
 
 /// A v3 store with one record per shard: plenty of distinct victims.
-fn v3_store(name: &str, n: u64) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("thicket-faults-v3-{name}"));
-    let _ = std::fs::remove_dir_all(&dir);
+fn v3_store(name: &str, n: u64) -> TempDir {
+    let dir = TempDir::new(&format!("faults-v3-{name}"));
     let profiles: Vec<_> = (0..n)
         .map(|s| {
             let mut cfg = CpuRunConfig::quartz_default();
@@ -197,6 +193,5 @@ fn v3_payload_faults_classify_end_to_end() {
         let (reloaded, rep) = Store::open(&dir).unwrap().load_all().unwrap();
         assert_eq!(reloaded.len(), 3, "{kind:?}");
         assert!(rep.is_clean(), "{kind:?}: {rep}");
-        std::fs::remove_dir_all(dir).ok();
     }
 }

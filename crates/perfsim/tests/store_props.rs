@@ -5,20 +5,25 @@
 //! huge) values never over-allocates or panics, and recovery always
 //! restores one complete generation.
 
+mod common;
+
+use common::TempDir;
 use proptest::prelude::*;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ffi::OsString;
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 use thicket_perfsim::{simulate_cpu_run, CpuRunConfig, Store, StoreOptions};
 
-static BASE: OnceLock<(PathBuf, Vec<i64>)> = OnceLock::new();
-static SCRATCH: AtomicUsize = AtomicUsize::new(0);
+/// The base store's files (name, bytes) and its profile hashes.
+type Base = (Vec<(OsString, Vec<u8>)>, Vec<i64>);
 
-/// One store, built once: four profiles, one record per shard.
-fn base_store() -> &'static (PathBuf, Vec<i64>) {
+static BASE: OnceLock<Base> = OnceLock::new();
+
+/// One store, built once and kept as file bytes: four profiles, one
+/// record per shard.
+fn base_store() -> &'static Base {
     BASE.get_or_init(|| {
-        let dir = std::env::temp_dir().join("thicket-storeprops-base");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("storeprops-base");
         let profiles: Vec<_> = (0..4)
             .map(|seed| {
                 let mut cfg = CpuRunConfig::quartz_default();
@@ -31,20 +36,23 @@ fn base_store() -> &'static (PathBuf, Vec<i64>) {
             ..StoreOptions::default()
         };
         Store::save_opts(&dir, &profiles, &opts).unwrap();
+        let files = std::fs::read_dir(&*dir)
+            .unwrap()
+            .map(|entry| {
+                let entry = entry.unwrap();
+                (entry.file_name(), std::fs::read(entry.path()).unwrap())
+            })
+            .collect();
         let hashes = profiles.iter().map(|p| p.profile_hash()).collect();
-        (dir, hashes)
+        (files, hashes)
     })
 }
 
-/// Copy the base store into a fresh scratch directory.
-fn scratch_copy(base: &PathBuf) -> PathBuf {
-    let id = SCRATCH.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("thicket-storeprops-{id}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    for entry in std::fs::read_dir(base).unwrap() {
-        let entry = entry.unwrap();
-        std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+/// Write the base store's files into a fresh scratch directory.
+fn scratch_copy(files: &[(OsString, Vec<u8>)]) -> TempDir {
+    let dir = TempDir::new("storeprops");
+    for (name, bytes) in files {
+        std::fs::write(dir.join(name), bytes).unwrap();
     }
     dir
 }
@@ -100,7 +108,6 @@ proptest! {
                 p.profile_hash()
             );
         }
-        std::fs::remove_dir_all(dir).ok();
     }
 }
 
@@ -174,7 +181,8 @@ proptest! {
     #[test]
     fn columnar_selection_equals_row_selection(pred in pred_strategy()) {
         let (base, _) = base_store();
-        let reader = Store::open(base).unwrap();
+        let dir = scratch_copy(base);
+        let reader = Store::open(&dir).unwrap();
 
         let columnar = reader.select_expr(&pred).unwrap();
         let by_rows: Vec<usize> = reader
@@ -200,7 +208,7 @@ use thicket_perfsim::{crc32c, Json};
 /// Rewrite one numeric field of one `profiles` entry in the newest
 /// manifest, recomputing the manifest's self-CRC so the reader has to
 /// confront the lie instead of rejecting the file wholesale.
-fn rewrite_manifest_entry(dir: &PathBuf, entry_sel: u32, field: &str, value: f64) {
+fn rewrite_manifest_entry(dir: &Path, entry_sel: u32, field: &str, value: f64) {
     let mut manifests: Vec<PathBuf> = std::fs::read_dir(dir)
         .unwrap()
         .filter_map(|e| e.ok())
@@ -294,7 +302,6 @@ proptest! {
         let mut want = original_hashes.clone();
         want.sort_unstable();
         prop_assert_eq!(got, want);
-        std::fs::remove_dir_all(dir).ok();
     }
 }
 
@@ -410,6 +417,5 @@ proptest! {
         let mut want = original_hashes.clone();
         want.sort_unstable();
         prop_assert_eq!(got, want);
-        std::fs::remove_dir_all(dir).ok();
     }
 }

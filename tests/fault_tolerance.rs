@@ -4,13 +4,15 @@
 //! thicket over exactly the healthy subset plus a complete typed
 //! account of everything dropped.
 
+mod common;
+
+use common::TempDir;
 use thicket::prelude::*;
 use thicket_perfsim::faults::{inject, inject_all, FaultKind};
 use thicket_perfsim::{load_dir, DiagKind};
 
-fn campaign_dir(name: &str, n: u64) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("thicket-ft-{name}"));
-    let _ = std::fs::remove_dir_all(&dir);
+fn campaign_dir(name: &str, n: u64) -> TempDir {
+    let dir = TempDir::new(&format!("ft-{name}"));
     let profiles: Vec<_> = (0..n)
         .map(|seed| {
             let mut cfg = CpuRunConfig::quartz_default();
@@ -46,7 +48,6 @@ fn corrupt_campaign_still_yields_a_workable_thicket() {
     tk.compute_stats(&[(ColKey::new("time (exc)"), vec![AggFn::Mean])])
         .unwrap();
     assert!(tk.statsframe().has_column(&ColKey::new("time (exc)_mean")));
-    std::fs::remove_dir_all(dir).ok();
 }
 
 /// The lenient pipeline is deterministic: same faults, same report,
@@ -66,7 +67,6 @@ fn lenient_pipeline_is_thread_count_invariant() {
             "profile count differs at threads={threads}"
         );
     }
-    std::fs::remove_dir_all(dir).ok();
 }
 
 /// Strict mode surfaces the first fault as a typed error naming the
@@ -81,7 +81,6 @@ fn strict_mode_error_names_the_corrupt_file() {
         "error {err} does not name {}",
         victim.display()
     );
-    std::fs::remove_dir_all(dir).ok();
 }
 
 /// Every individual ensemble-level fault kind drives the full pipeline
@@ -105,7 +104,6 @@ fn every_fault_kind_maps_to_its_diagnostic() {
         let (tk, r) = Thicket::loader(&profiles).strictness(Strictness::lenient()).load().unwrap();
         assert!(r.is_clean());
         assert_eq!(tk.profiles().len(), profiles.len());
-        std::fs::remove_dir_all(dir).ok();
     }
 }
 
@@ -122,5 +120,4 @@ fn duplicate_diagnostic_points_at_first_occurrence() {
         }
         other => panic!("expected duplicate diagnostic, got {other:?}"),
     }
-    std::fs::remove_dir_all(dir).ok();
 }

@@ -1,6 +1,9 @@
 //! Cross-crate integration tests: full pipelines from profile collection
 //! through thicket EDA, mirroring the paper's workflow (Figure 1).
 
+mod common;
+
+use common::TempDir;
 use thicket::prelude::*;
 use thicket_dataframe::AggFn;
 use thicket_perfsim::engine::{run_stream_suite, StreamRunConfig};
@@ -10,8 +13,7 @@ use thicket_perfsim::Compiler;
 /// compose → filter → group → stats.
 #[test]
 fn full_workflow_via_disk() {
-    let dir = std::env::temp_dir().join("thicket-it-workflow");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("workflow");
 
     // Step 1–2: run the app under measurement, write profiles.
     let mut paths = Vec::new();
@@ -45,10 +47,6 @@ fn full_workflow_via_disk() {
     tk.compute_stats(&[(ColKey::new("time (exc)"), vec![AggFn::Mean, AggFn::Std])])
         .unwrap();
     assert!(tk.statsframe().has_column(&ColKey::new("time (exc)_std")));
-
-    for p in paths {
-        std::fs::remove_file(p).ok();
-    }
 }
 
 /// Real execution path: collector-produced profiles compose and analyze
@@ -202,12 +200,10 @@ fn failure_modes() {
     assert!(Thicket::loader(&[]).load().is_err());
 
     // Corrupt profile file.
-    let dir = std::env::temp_dir().join("thicket-it-corrupt");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("corrupt");
     let bad = dir.join("bad.json");
     std::fs::write(&bad, "{not json").unwrap();
     assert!(Profile::load(&bad).is_err());
-    std::fs::remove_file(bad).ok();
 
     // Composing thickets with clashing labels.
     let p = simulate_cpu_run(&CpuRunConfig::quartz_default());
